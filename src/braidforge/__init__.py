@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import arrangements, braid, cli, freegroup, liealg, monomial, wiring  # noqa: F401,E402
+from . import arrangements, braid, cli, freegroup, garside, liealg, monomial, wiring  # noqa: F401,E402

@@ -1,0 +1,5 @@
+"""``python -m braidforge``: the braidforge command line."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -5,9 +5,11 @@ Braid words are unreduced sequences of signed Artin generator indices:
 the word farther left acts first: artin(a*b) = compose(artin(a), artin(b))
 under the right-action convention of :mod:`braidforge.freegroup`.
 
-Equality of braids is decided through the Artin representation, which is
-faithful, so two words are equal in the braid group exactly when their
-induced free-group endomorphisms agree.
+Equality of braids is decided by Garside left normal form
+(:mod:`braidforge.garside`): two words are equal in the braid group exactly
+when their normal forms agree.  The Artin representation is kept for the
+places that print or inspect free-group images, and as an independent
+oracle in the tests.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .freegroup import Endomorphism, Word, WordLengthError, max_word_len, _MAX_LEN_ENV
+from .garside import normal_form
 from .report import Report
 
 __all__ = [
@@ -144,10 +147,10 @@ def artin(b: BraidWord) -> Endomorphism:
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """True iff the two words define the same element of B_n (faithfulness)."""
+    """True iff the two words define the same element of B_n."""
     if a.strands != b.strands:
         raise BraidError(f"strand mismatch: {a.strands} != {b.strands}")
-    return artin(a) == artin(b)
+    return normal_form(a.strands, a.letters) == normal_form(b.strands, b.letters)
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,7 @@ def pure_braid_relation_instances(n: int) -> list[tuple[str, BraidWord, BraidWor
 
 
 def verify_braid_relations(n: int) -> Report:
-    """Check every defining relation of B_n through the Artin representation."""
+    """Check every defining relation of B_n."""
     report = Report(f"braid relations, n={n}")
     for name, lhs, rhs in braid_relation_instances(n):
         report.add(name, braid_equal(lhs, rhs))

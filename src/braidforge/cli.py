@@ -10,12 +10,17 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import arrangements as arr
 from . import liealg
 from . import monomial as mono
-from .braid import braid_to_text, linking_numbers
+from .braid import (
+    braid_equal,
+    braid_relation_instances,
+    braid_to_text,
+    linking_numbers,
+    pure_braid_relation_instances,
+)
 from .report import Report
 from .wiring import WiringError, braid_monodromy, parse_wiring, real_line, wiring_from_real_lines
 
@@ -115,40 +120,8 @@ def _cmd_monomial(args, out) -> int:
         "presentation": mono.verify_presentation,
         "generators": mono.verify_generators_free_factor,
     }
-    runner = suites[args.verify]
-    if args.verify == "relations" and args.jobs > 1:
-        report = _run_pairs(
-            f"monomial braid relations, r={prm.r}, n={prm.n}",
-            mono.monomial_relation_instances(prm),
-            args.jobs,
-        )
-    else:
-        report = runner(prm)
+    report = suites[args.verify](prm)
     return 0 if _print_report(report, out) else 1
-
-
-def _pair_worker(task):
-    from .braid import BraidWord, braid_equal
-
-    name, n, la, lb = task
-    return name, braid_equal(BraidWord(n, la), BraidWord(n, lb))
-
-
-def _run_pairs(title: str, instances, jobs: int) -> Report:
-    """Ordered relation sweep over (name, lhs, rhs) braid pairs."""
-    tasks = [
-        (name, lhs.strands, lhs.letters, rhs.letters) for name, lhs, rhs in instances
-    ]
-    report = Report(title)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            for name, ok in pool.map(_pair_worker, tasks):
-                report.add(name, ok)
-    else:
-        for task in tasks:
-            name, ok = _pair_worker(task)
-            report.add(name, ok)
-    return report
 
 
 def _cmd_present(args, out) -> int:
@@ -256,10 +229,10 @@ def _cmd_verify(args, out) -> int:
     if args.what != "purebraid":
         raise CliError(f"unknown verify target {args.what!r}")
     _guard("n", args.n, MAX_N)
-    from .braid import braid_relation_instances, pure_braid_relation_instances
-
     instances = braid_relation_instances(args.n) + pure_braid_relation_instances(args.n)
-    report = _run_pairs(f"braid and pure braid relations, n={args.n}", instances, args.jobs)
+    report = Report(f"braid and pure braid relations, n={args.n}")
+    for name, lhs, rhs in instances:
+        report.add(name, braid_equal(lhs, rhs))
     return 0 if _print_report(report, out) else 1
 
 
@@ -274,7 +247,6 @@ def _read_file(path: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "tsv"], default="text")
-    common.add_argument("--jobs", type=int, default=1, help="parallel relation sweeps")
     parser = argparse.ArgumentParser(
         prog="braidforge",
         description="exact braid monodromy, monomial braid groups, holonomy Lie ranks",

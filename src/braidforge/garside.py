@@ -1,0 +1,222 @@
+"""Garside left normal form in the braid group B_n.
+
+Every braid has a unique left normal form Delta^k A_1 ... A_m (Garside 1969;
+El-Rifai & Morton 1994).  Delta is the positive half twist, and each A_i is
+a simple element other than 1 and Delta: a positive braid in which every
+pair of strands crosses at most once.  Every pair (A_i, A_{i+1}) is
+left-weighted: the starting set of A_{i+1} lies in the finishing set of A_i.
+Two braid words are equal in B_n exactly when their normal forms are equal,
+so braid equality is tuple equality of (k, factors) and needs no free-group
+images.
+
+A simple element is stored as the 0-based position map of its strands: the
+strand starting at position j ends at position ``perm[j]``.  Letters act
+left to right as in :mod:`braidforge.braid`, so sigma_i swaps positions
+i-1 and i.  The starting set of a simple element (the sigma_i it can begin
+with) is the descent set of its map, and the finishing set is the descent
+set of the inverse map.  Both are held as bitmasks, bit i-1 for sigma_i.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+__all__ = [
+    "Simple",
+    "NormalForm",
+    "normal_form",
+    "product",
+    "inverse",
+    "simple_tau",
+    "complement",
+    "starting_set",
+    "finishing_set",
+]
+
+Simple = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class NormalForm:
+    """Delta^power A_1 ... A_m in B_strands, with left-weighted simple factors."""
+
+    strands: int
+    power: int
+    factors: tuple[Simple, ...]
+
+
+def _inverse_map(a) -> list[int]:
+    inv = [0] * len(a)
+    for j, v in enumerate(a):
+        inv[v] = j
+    return inv
+
+
+def _descents(p) -> int:
+    mask = 0
+    for i in range(len(p) - 1):
+        if p[i] > p[i + 1]:
+            mask |= 1 << i
+    return mask
+
+
+def starting_set(a: Simple) -> int:
+    """Bitmask of the sigma_i that a simple element can begin with."""
+    return _descents(a)
+
+
+def finishing_set(a: Simple) -> int:
+    """Bitmask of the sigma_i that a simple element can end with."""
+    return _descents(_inverse_map(a))
+
+
+def simple_tau(a: Simple) -> Simple:
+    """Delta a Delta^-1, which maps sigma_i to sigma_{n-i}."""
+    top = len(a) - 1
+    return tuple(top - a[top - j] for j in range(top + 1))
+
+
+def complement(a: Simple) -> Simple:
+    """The right complement a^-1 Delta, a simple element."""
+    top = len(a) - 1
+    return tuple(top - v for v in _inverse_map(a))
+
+
+def _left_weight(a: Simple, b: Simple):
+    """Left-weight the pair (a, b): returns (a', b') with a'b' = ab, or None.
+
+    The largest prefix c of b for which ac is still simple is the meet of b
+    and the complement of a: a pair of strands j < k may cross in c only if
+    it crosses in b and has not crossed in a.  Inserting the strands in turn
+    builds the final order of c, because every forced "j stays before k"
+    chain runs through indices between j and k: strand k goes right after
+    the last strand placed so far that it may not overtake.  Then
+    a' = ac and b' = c^-1 b.  None means c = 1: the pair is left-weighted.
+    """
+    ai = _inverse_map(a)
+    order: list[int] = []
+    moved = False
+    for k, bk in enumerate(b):
+        ak = ai[k]
+        p = k
+        while p and b[order[p - 1]] > bk and ai[order[p - 1]] < ak:
+            p -= 1
+        if p < k:
+            moved = True
+        order.insert(p, k)
+    if not moved:
+        return None
+    c = _inverse_map(order)
+    return tuple(c[x] for x in a), tuple(b[m] for m in order)
+
+
+class _Product:
+    """Right multiplication onto Delta^power tau^twist(F_1 ... F_m).
+
+    The stored factors F_i are kept untwisted: multiplying by Delta^-1 only
+    flips ``twist``, and tau is applied to the factors once, in ``result``.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ident = tuple(range(n))
+        self.half_twist = tuple(range(n - 1, -1, -1))
+        self.power = 0
+        self.twist = 0
+        self.factors: list[Simple] = []
+
+    def delta_power(self, e: int) -> None:
+        self.power += e
+        self.twist ^= e & 1
+
+    def simple(self, s: Simple) -> None:
+        if self.twist:
+            s = simple_tau(s)
+        factors = self.factors
+        factors.append(s)
+        j = len(factors) - 1
+        while j:
+            pair = _left_weight(factors[j - 1], factors[j])
+            if pair is None:
+                break
+            factors[j - 1], factors[j] = pair
+            j -= 1
+        ident, half_twist = self.ident, self.half_twist
+        while factors and factors[-1] == ident:
+            factors.pop()
+        while factors and factors[0] == half_twist:
+            del factors[0]
+            self.power += 1
+
+    def letters(self, letters: Iterable[int]) -> None:
+        """Multiply by a word, one maximal simple run at a time.
+
+        A positive run sigma_{g_1} ... sigma_{g_k} in which no two strands
+        cross twice is one simple element R.  A negative run
+        sigma_{g_1}^-1 ... sigma_{g_k}^-1 is T^-1 for the simple element
+        T = sigma_{g_k} ... sigma_{g_1}, and T^-1 = Delta^-1 tau(T^-1 Delta).
+        Appending sigma_g to R swaps entries g, g+1 of the inverse map of R,
+        and prepending it to T swaps entries g, g+1 of the map of T; either
+        is allowed while those two entries are increasing.
+        """
+        run: list[int] | None = None
+        sign = 0
+        for x in letters:
+            g = abs(x) - 1
+            if run is not None and ((x > 0) != (sign > 0) or run[g] > run[g + 1]):
+                self._close_run(run, sign)
+                run = None
+            if run is None:
+                run, sign = list(range(self.n)), x
+            run[g], run[g + 1] = run[g + 1], run[g]
+        if run is not None:
+            self._close_run(run, sign)
+
+    def _close_run(self, run: list[int], sign: int) -> None:
+        if sign > 0:
+            self.simple(tuple(_inverse_map(run)))
+        else:
+            self.delta_power(-1)
+            self.simple(simple_tau(complement(run)))
+
+    def form(self, y: NormalForm) -> None:
+        self.delta_power(y.power)
+        for s in y.factors:
+            self.simple(s)
+
+    def result(self) -> NormalForm:
+        factors = self.factors
+        if self.twist:
+            factors = [simple_tau(a) for a in factors]
+        return NormalForm(self.n, self.power, tuple(factors))
+
+
+def normal_form(n: int, letters: Iterable[int]) -> NormalForm:
+    """Left normal form of the word in signed Artin generator indices of B_n."""
+    b = _Product(n)
+    b.letters(letters)
+    return b.result()
+
+
+def product(n: int, forms: Iterable[NormalForm]) -> NormalForm:
+    """Normal form of the product of the given normal forms, left to right."""
+    b = _Product(n)
+    for y in forms:
+        if y.strands != n:
+            raise ValueError(f"strand mismatch: {y.strands} != {n}")
+        b.form(y)
+    return b.result()
+
+
+def inverse(x: NormalForm) -> NormalForm:
+    """(Delta^k A_1..A_m)^-1 = Delta^(-k-m) tau^(k+m)(dA_m) ... tau^(k+1)(dA_1).
+
+    Here dA = A^-1 Delta is the right complement; the reversed sequence of
+    twisted complements is again left-weighted, so no sweep is needed.
+    """
+    k, m = x.power, len(x.factors)
+    out = []
+    for i in range(m, 0, -1):
+        d = complement(x.factors[i - 1])
+        out.append(simple_tau(d) if (k + i) & 1 else d)
+    return NormalForm(x.strands, -k - m, tuple(out))

@@ -8,23 +8,24 @@ braids Z_j, A^{(p)}_{i,j}, X_i and the derived words C, D, Q used in the
 presentation of the pure monomial braid group, and verify every identity
 claimed for them.
 
-Relation checking goes through the Artin representation.  Because the
-derived words grow quickly under conjugation, the verifiers share an
-:class:`ArtinCalculator` that caches the endomorphism of every named block
-and composes endomorphisms instead of re-scanning long letter sequences.
+Relations are decided by Garside left normal form (:mod:`braidforge.garside`),
+never through Artin images.  Because the derived words grow quickly under
+conjugation, the verifiers share a :class:`BraidCalculator` that caches the
+normal form of every named block and multiplies normal forms instead of
+re-scanning long letter sequences.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import BraidWord, BraidError, artin, empty_braid, linking_pairs, permutation
-from .freegroup import Endomorphism, compose, identity
+from .braid import BraidWord, BraidError, empty_braid, linking_pairs, permutation
+from .garside import NormalForm, inverse, normal_form, product
 from .report import Report
 
 __all__ = [
     "MonomialParams",
-    "ArtinCalculator",
+    "BraidCalculator",
     "params",
     "tau",
     "rho",
@@ -205,48 +206,46 @@ def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
     return BraidWord(prm.strands, out.letters, name=f"Q[{j},{p}]")
 
 
-class ArtinCalculator:
-    """Caches Artin endomorphisms of braid words and composes them.
+class BraidCalculator:
+    """Caches Garside normal forms of braid words and multiplies them.
 
-    Concatenating the letter sequences of long derived words and re-running
-    the representation is quadratic; composing the cached endomorphisms of
-    the factors keeps every product near the size of its reduced images.
+    Each named block is normalised once from its letters, and its inverse
+    comes free from the normal form.  Derived words (conjugates, chains,
+    cyclic products) are products of cached forms, so no long letter
+    sequence is ever flattened and re-read.  Arguments may be braid words
+    or normal forms.
     """
 
     def __init__(self, strands: int):
         self.strands = strands
-        self._cache: dict[tuple[int, ...], Endomorphism] = {
-            (): identity(strands)
-        }
+        self._cache: dict[tuple[int, ...], NormalForm] = {}
 
-    def endo(self, b: BraidWord) -> Endomorphism:
-        e = self._cache.get(b.letters)
-        if e is None:
-            e = artin(b)
-            self._cache[b.letters] = e
-        return e
+    def form(self, b) -> NormalForm:
+        if isinstance(b, NormalForm):
+            return b
+        nf = self._cache.get(b.letters)
+        if nf is None:
+            nf = normal_form(b.strands, b.letters)
+            self._cache[b.letters] = nf
+            self._cache[tuple(-x for x in reversed(b.letters))] = inverse(nf)
+        return nf
 
-    def product(self, *factors) -> Endomorphism:
-        """Endomorphism of the product of braid words / endomorphisms given."""
-        out = None
-        for f in factors:
-            e = f if isinstance(f, Endomorphism) else self.endo(f)
-            out = e if out is None else compose(out, e)
-        return out if out is not None else identity(self.strands)
+    def product(self, *factors) -> NormalForm:
+        """Normal form of the product of the braid words / normal forms given."""
+        return product(self.strands, [self.form(f) for f in factors])
 
-    def conjugated(self, conj: BraidWord, mid) -> Endomorphism:
-        """Endomorphism of conj * mid * conj^-1."""
-        return self.product(conj, mid, ~conj)
+    def inverse(self, b) -> NormalForm:
+        return inverse(self.form(b))
+
+    def conjugated(self, conj, mid) -> NormalForm:
+        """Normal form of conj * mid * conj^-1."""
+        return self.product(conj, mid, self.inverse(conj))
 
     def equal(self, a, b) -> bool:
-        ea = a if isinstance(a, Endomorphism) else self.endo(a)
-        eb = b if isinstance(b, Endomorphism) else self.endo(b)
-        return ea == eb
+        return self.form(a) == self.form(b)
 
     def commute(self, a, b) -> bool:
-        ea = a if isinstance(a, Endomorphism) else self.endo(a)
-        eb = b if isinstance(b, Endomorphism) else self.endo(b)
-        return compose(ea, eb) == compose(eb, ea)
+        return self.product(a, b) == self.product(b, a)
 
 
 def monomial_relation_instances(prm: MonomialParams) -> list[tuple[str, BraidWord, BraidWord]]:
@@ -269,9 +268,9 @@ def monomial_relation_instances(prm: MonomialParams) -> list[tuple[str, BraidWor
     return out
 
 
-def verify_monomial_relations(prm: MonomialParams, calc: ArtinCalculator | None = None) -> Report:
+def verify_monomial_relations(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
     """Check the defining relations among rho_0, ..., rho_{n-1}."""
-    calc = calc or ArtinCalculator(prm.strands)
+    calc = calc or BraidCalculator(prm.strands)
     report = Report(f"monomial braid relations, r={prm.r}, n={prm.n}")
     for name, lhs, rhs in monomial_relation_instances(prm):
         report.add(name, calc.equal(lhs, rhs))
@@ -291,12 +290,12 @@ def lemma_conj_D(k: int, l: int, prm: MonomialParams) -> BraidWord:
     return BraidWord(prm.strands, out.letters, name=f"Dext[{k};{l}]")
 
 
-def verify_lemma_conj(prm: MonomialParams, calc: ArtinCalculator | None = None) -> Report:
+def verify_lemma_conj(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
     """Check the conjugation case table for X_i acting on Z_l and A^{(r)}_{k,l}."""
     if prm.n < 2:
         raise BraidError("need n >= 2")
     r = prm.r
-    calc = calc or ArtinCalculator(prm.strands)
+    calc = calc or BraidCalculator(prm.strands)
     report = Report(f"conjugation lemma, r={r}, n={prm.n}")
 
     def a_shift(k: int, l: int, p: int) -> BraidWord:
@@ -308,7 +307,7 @@ def verify_lemma_conj(prm: MonomialParams, calc: ArtinCalculator | None = None) 
         for l in range(1, prm.n + 1):
             lhs = calc.product(~xi, Z(l, prm), xi)
             if l < i:
-                rhs = calc.endo(Z(l, prm))
+                rhs = calc.form(Z(l, prm))
                 case = "l<i"
             elif l == i:
                 rhs = calc.conjugated(~C(l, prm), Z(l, prm))
@@ -321,10 +320,10 @@ def verify_lemma_conj(prm: MonomialParams, calc: ArtinCalculator | None = None) 
             for l in range(k + 1, prm.n + 1):
                 lhs = calc.product(~xi, A(k, l, r, prm), xi)
                 if i < k or i > l:
-                    rhs = calc.endo(A(k, l, r, prm))
+                    rhs = calc.form(A(k, l, r, prm))
                     case = "i<k or i>l"
                 elif i == k:
-                    rhs = calc.endo(a_shift(k, l, r - 1))
+                    rhs = calc.form(a_shift(k, l, r - 1))
                     case = "i=k"
                 elif k < i < l:
                     rhs = calc.conjugated(a_shift(i, l, r - 1), A(k, l, r, prm))
@@ -339,35 +338,23 @@ def verify_lemma_conj(prm: MonomialParams, calc: ArtinCalculator | None = None) 
     return report
 
 
-def _telescope(factors: list[BraidWord]) -> list[BraidWord]:
-    """Drop adjacent inverse pairs so product endomorphisms stay small."""
-    out: list[BraidWord] = []
-    for f in factors:
-        if out and out[-1].letters == (~f).letters:
-            out.pop()
-        else:
-            out.append(f)
-    return out
-
-
-def _family_holds(calc: ArtinCalculator, elements, report: Report, label: str) -> None:
+def _family_holds(calc: BraidCalculator, elements, report: Report, label: str) -> None:
     """Commutation family [g_1, ..., g_m]: all cyclic products agree.
 
     Equivalent to the full product commuting with each of g_1 .. g_{m-1};
     each of those m-1 commutations is recorded as one check.  Elements are
-    factor lists of braid words; the product is telescoped before its
-    endomorphism is assembled.
+    factor lists of braid words.
     """
     flat: list[BraidWord] = []
     for el in elements:
         flat.extend(el)
-    prod = calc.product(*_telescope(flat))
-    endos = [calc.product(*el) for el in elements]
-    for k, e in enumerate(endos[:-1]):
-        report.add(f"{label} rotation {k+1}", compose(prod, e) == compose(e, prod))
+    prod = calc.product(*flat)
+    forms = [calc.product(*el) for el in elements]
+    for k, e in enumerate(forms[:-1]):
+        report.add(f"{label} rotation {k+1}", calc.commute(prod, e))
 
 
-def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None) -> Report:
+def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
     """Check every defining relation family of the pure monomial braid group.
 
     Families are expanded exhaustively over their index ranges, with the
@@ -380,7 +367,7 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
     if prm.n < 2:
         raise BraidError("need n >= 2")
     r, n = prm.r, prm.n
-    calc = calc or ArtinCalculator(prm.strands)
+    calc = calc or BraidCalculator(prm.strands)
     report = Report(f"pure monomial presentation, r={r}, n={n}")
 
     zc = {j: Z(j, prm) for j in range(1, n + 1)}
@@ -407,15 +394,14 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
     # Z_j .. Z_l family; A^{(p)} is conjugated by Q_{j,r-1-p}, with Q_{j,0} = C_j.
     # The (1,2) instance is checked by direct rotation; the general instance
     # is its conjugate by w = rho_{l-1}..rho_{j+1} nu_j, so it suffices that
-    # every element match the w-conjugate of the base element.  This keeps
-    # the intermediate Artin images small at larger r and n.
+    # every element match the w-conjugate of the base element.
     base_elems = (
         [[zc[1]]]
         + [[ac[1, 2, p]] for p in range(1, r)]
         + [[zc[2]], [ac[1, 2, r]]]
     )
     _family_holds(calc, base_elems, report, f"[Z1,A..A,Z2,A(1,2;{r})]")
-    base_endos = [calc.product(*el) for el in base_elems]
+    base_forms = [calc.product(*el) for el in base_elems]
 
     nus: dict[int, BraidWord] = {}
     if n >= 3:
@@ -435,7 +421,6 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
                 w = w * rho(s, prm)
             if j >= 2:
                 w = w * nus[j]
-            ew, ewi = calc.endo(w), calc.endo(~w)
             elems = (
                 [[zc[j]]]
                 + [
@@ -447,7 +432,7 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
             label = f"[Z{j},Q.A..Q,Z{l},A({j},{l};{r})]"
             for s, el in enumerate(elems):
                 lhs = calc.product(*el)
-                rhs = compose(compose(ew, base_endos[s]), ewi)
+                rhs = calc.conjugated(w, base_forms[s])
                 report.add(f"{label} element {s+1} conjugates from base", lhs == rhs)
 
     # Z against A with all three relative positions of the Z index.  A Z above
@@ -467,18 +452,14 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
                     zk = calc.conjugated(abr(i, k, p), zc[k])
                     report.add(
                         f"[A({i},{j};{p}), Abr({i},{k};{p}) Z{k} .]",
-                        _commute_endos(calc, calc.endo(ac[i, j, p]), zk),
+                        calc.commute(ac[i, j, p], zk),
                     )
                     lhs = calc.conjugated(abr(i, j, p), zc[j])
                     chain = [ac[s, k, r] for s in range(i + 1, j + 1)]
-                    conjd = calc.product(
-                        _inv_endo_word(calc, chain),
-                        calc.endo(ac[i, k, p]),
-                        calc.product(*chain),
-                    )
+                    conjd = calc.conjugated(calc.inverse(calc.product(*chain)), ac[i, k, p])
                     report.add(
                         f"[Abr({i},{j};{p}) Z{j} ., A({i},{k};{p})^(A..A)]",
-                        _commute_endos(calc, lhs, conjd),
+                        calc.commute(lhs, conjd),
                     )
 
     # A against A: disjoint, nested, and linked pairs.
@@ -494,9 +475,8 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
                             )
                             report.add(
                                 f"[A({j},{k};{p}), Abr A({i},{l};{q}) Abr^-1]",
-                                _commute_endos(
-                                    calc,
-                                    calc.endo(ac[j, k, p]),
+                                calc.commute(
+                                    ac[j, k, p],
                                     calc.conjugated(abr(j, l, p), ac[i, l, q]),
                                 ),
                             )
@@ -506,7 +486,7 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
                             )
                             report.add(
                                 f"[Abr A({i},{k};{q}) Abr^-1, A({j},{l};{p})^A({k},{l};{r})]",
-                                _commute_endos(calc, lhs, rhs),
+                                calc.commute(lhs, rhs),
                             )
 
     # Triple families.
@@ -558,17 +538,6 @@ def verify_presentation(prm: MonomialParams, calc: ArtinCalculator | None = None
                             f"[D A({i},{j};{p}) D^-1, A({j},{k};{r-q}), . A({i},{k};{r-q+p}) .]",
                         )
     return report
-
-
-def _commute_endos(calc: ArtinCalculator, a: Endomorphism, b: Endomorphism) -> bool:
-    return compose(a, b) == compose(b, a)
-
-
-def _inv_endo_word(calc: ArtinCalculator, factors: list[BraidWord]) -> Endomorphism:
-    out = identity(calc.strands)
-    for b in reversed(factors):
-        out = compose(out, calc.endo(~b))
-    return out
 
 
 def _expected_A_pairs(i: int, j: int, p: int, prm: MonomialParams) -> set[tuple[int, int]]:
@@ -672,17 +641,17 @@ def verify_pbn_correspondence(prm: MonomialParams) -> Report:
     """At r = 2, check the type-B action table as braid identities in P(2,n).
 
     Under a_{i,j} = A^{(2)}_{i,j}, b_{i,j} = A^{(1)}_{i,j}, c_j = Z_j, each
-    literal table cell g^-1 y g = K y K^-1 is tested via the Artin
-    representation.  The two cells without a well-formed literal reading
-    (the q_k conjugator at k=i and the y_k conjugator at k=j) are reported
-    informationally, not as failures.
+    literal table cell g^-1 y g = K y K^-1 is tested by normal form.  The
+    two cells without a well-formed literal reading (the q_k conjugator at
+    k=i and the y_k conjugator at k=j) are reported informationally, not as
+    failures.
     """
     if prm.r != 2:
         raise BraidError("the type-B correspondence table is specific to r=2")
     from .arrangements import pbn_table_cells  # deferred: avoids module cycle
 
     n = prm.n
-    calc = ArtinCalculator(prm.strands)
+    calc = BraidCalculator(prm.strands)
 
     def as_braid(sym) -> BraidWord:
         kind, i, j = sym
@@ -700,20 +669,9 @@ def verify_pbn_correspondence(prm: MonomialParams) -> Report:
         if cell.special:
             report.add(f"{cell.name} (no literal reading)", True, "computed only")
             continue
-        conj = identity(prm.strands)
-        for sym, sign in cell.conjugator:
-            e = calc.endo(as_braid(sym))
-            if sign < 0:
-                e = calc.endo(~as_braid(sym))
-            conj = compose(conj, e)
-        rhs = calc.product(conj, y, _inv_endo_chain(calc, cell.conjugator, as_braid))
-        report.add(cell.name, lhs == rhs)
+        conj = calc.product(
+            *[as_braid(sym) if sign > 0 else calc.inverse(as_braid(sym))
+              for sym, sign in cell.conjugator]
+        )
+        report.add(cell.name, lhs == calc.conjugated(conj, y))
     return report
-
-
-def _inv_endo_chain(calc: ArtinCalculator, syms, as_braid) -> Endomorphism:
-    out = identity(calc.strands)
-    for sym, sign in reversed(syms):
-        b = as_braid(sym)
-        out = compose(out, calc.endo(~b if sign > 0 else b))
-    return out

@@ -146,7 +146,7 @@ def test_criterion_6_presentation_families():
         # r=1 degeneration: the braids satisfy the classical pure braid
         # relation instances verbatim
         prm = mono.params(1, 4)
-        calc = mono.ArtinCalculator(prm.strands)
+        calc = mono.BraidCalculator(prm.strands)
         a = {(i, j): mono.A(i, j, 1, prm) for j in range(2, 5) for i in range(1, j)}
         for j in range(2, 5):
             for i in range(1, j):

@@ -1,9 +1,12 @@
 import io
 import os
+import subprocess
+import sys
 
 from braidforge.cli import run
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def run_cli(*argv):
@@ -55,12 +58,43 @@ def test_monomial_suites():
     assert code == 0
 
 
-def test_monomial_jobs_parallel_matches_sequential():
-    code1, out1 = run_cli("monomial", "--r", "2", "--n", "3", "--verify", "relations")
-    code2, out2 = run_cli(
+def test_jobs_option_is_rejected():
+    code, _ = run_cli(
         "monomial", "--r", "2", "--n", "3", "--verify", "relations", "--jobs", "2"
     )
-    assert (code1, out1) == (code2, out2)
+    assert code == 2
+    code, _ = run_cli("verify", "purebraid", "--n", "3", "--jobs", "2")
+    assert code == 2
+
+
+def test_equality_builds_no_artin_images(monkeypatch):
+    # A one-letter cap makes every Artin image raise, so these suites pass
+    # only if each equality is decided by normal form.
+    monkeypatch.setenv("BRAIDFORGE_MAX_WORD_LEN", "1")
+    for suite, count in (("presentation", 164), ("lemma-conj", 40), ("relations", 6)):
+        code, out = run_cli("monomial", "--r", "3", "--n", "4", "--verify", suite)
+        assert code == 0, out
+        assert f"{count}/{count} checks passed" in out
+    code, out = run_cli("typeb", "--n", "4", "--verify")
+    assert code == 0 and "16/16 checks passed" in out
+    code, out = run_cli("verify", "purebraid", "--n", "5")
+    assert code == 0, out
+
+
+def test_presentation_past_the_verified_range_reports_every_check():
+    # (4,4) lies past the range where the presentation families are known to
+    # hold; the suite must still decide every instance, with FAIL lines and
+    # exit 1 where a family fails, and never stop on an error.
+    code, out = run_cli("monomial", "--r", "4", "--n", "4", "--verify", "presentation")
+    assert code in (0, 1)
+    assert "error:" not in out
+    lines = out.splitlines()
+    summary = next(line for line in lines if " checks passed" in line)
+    total = int(summary.rsplit("/", 1)[1].split()[0])
+    checks = lines[: lines.index(summary)]
+    assert len(checks) == total
+    assert all(line.startswith(("ok\t", "FAIL\t")) for line in checks)
+    assert (code == 0) == all(line.startswith("ok\t") for line in checks)
 
 
 def test_present_commands():
@@ -116,12 +150,20 @@ def test_lie_mismatch_exit_code(tmp_path):
     assert "FAIL\tlie\tdegree" in out
 
 
+def test_python_dash_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidforge", "verify", "purebraid", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout
+
+
 def test_verify_purebraid():
     code, out = run_cli("verify", "purebraid", "--n", "3")
     assert code == 0
     assert "checks passed" in out
-    code2, out2 = run_cli("verify", "purebraid", "--n", "3", "--jobs", "2")
-    assert (code, out) == (code2, out2)
 
 
 def test_guards():

@@ -1,0 +1,107 @@
+"""The Garside normal form against the Artin representation as oracle."""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidforge import garside
+from braidforge.braid import BraidWord, artin, braid_equal
+
+
+@st.composite
+def words(draw, n, max_len=14):
+    gens = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    return draw(st.lists(gens, max_size=max_len))
+
+
+@st.composite
+def word_pairs(draw):
+    """A word and either an unrelated word or the same word with a relator inserted."""
+    n = draw(st.integers(2, 8))
+    a = draw(words(n))
+    if draw(st.booleans()):
+        return n, a, draw(words(n))
+    i = draw(st.integers(1, n - 1))
+    relators = [[i, -i]]
+    if i < n - 1:
+        relators.append([i, i + 1, i, -(i + 1), -i, -(i + 1)])
+    relators += [[i, j, -i, -j] for j in range(i + 2, n)]
+    relator = draw(st.sampled_from(relators))
+    pos = draw(st.integers(0, len(a)))
+    return n, a, a[:pos] + relator + a[pos:]
+
+
+def nf(n, letters):
+    return garside.normal_form(n, letters)
+
+
+def mul(*forms):
+    return garside.product(forms[0].strands, forms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_normal_forms_agree_exactly_when_artin_images_agree(pair):
+    n, a, b = pair
+    same_artin = artin(BraidWord(n, tuple(a))) == artin(BraidWord(n, tuple(b)))
+    assert (nf(n, a) == nf(n, b)) == same_artin
+    assert braid_equal(BraidWord(n, tuple(a)), BraidWord(n, tuple(b))) == same_artin
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_normal_form_is_multiplicative(pair):
+    n, a, b = pair
+    assert nf(n, a + b) == mul(nf(n, a), nf(n, b))
+    assert nf(n, a + b + a) == mul(nf(n, a), nf(n, b), nf(n, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_inverse_matches_normal_form_of_inverse_word(pair):
+    n, a, _ = pair
+    inv = garside.inverse(nf(n, a))
+    assert inv == nf(n, [-x for x in reversed(a)])
+    assert mul(nf(n, a), inv) == garside.NormalForm(n, 0, ())
+
+
+def _delta_word(n):
+    # Delta = (s1)(s2 s1)(s3 s2 s1)...
+    return [g for top in range(1, n) for g in range(top, 0, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_delta_squared_is_central(pair):
+    n, a, _ = pair
+    d = nf(n, _delta_word(n))
+    assert d == garside.NormalForm(n, 1, ())
+    d2 = mul(d, d)
+    x = nf(n, a)
+    assert mul(d2, x) == mul(x, d2)
+    assert nf(n, _delta_word(n) * 2 + a) == nf(n, a + _delta_word(n) * 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_normal_form_is_left_weighted_without_delta_or_identity(pair):
+    n, a, b = pair
+    for x in (nf(n, a), nf(n, b), mul(nf(n, a), nf(n, b)), garside.inverse(nf(n, a))):
+        ident, half_twist = tuple(range(n)), tuple(range(n - 1, -1, -1))
+        for f in x.factors:
+            assert sorted(f) == list(range(n))
+            assert f != ident and f != half_twist
+        for left, right in zip(x.factors, x.factors[1:]):
+            assert garside.starting_set(right) & ~garside.finishing_set(left) == 0
+
+
+def test_simple_elements_and_sets():
+    # sigma_1 sigma_2 in B_3: starts with sigma_1 only, ends with sigma_2 only
+    x = nf(3, [1, 2])
+    assert x.power == 0 and len(x.factors) == 1
+    (a,) = x.factors
+    assert garside.starting_set(a) == 0b01
+    assert garside.finishing_set(a) == 0b10
+    assert garside.complement(a) == nf(3, [1]).factors[0]
+    assert garside.simple_tau(a) == nf(3, [2, 1]).factors[0]
+    # sigma_1^-1 = Delta^-1 (sigma_1 sigma_2) in B_3
+    assert nf(3, [-1]) == garside.NormalForm(3, -1, ((2, 0, 1),))
+    assert nf(1, []) == garside.NormalForm(1, 0, ())

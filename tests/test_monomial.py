@@ -4,7 +4,7 @@ from braidforge.braid import braid_equal, linking_pairs, permutation
 from braidforge.monomial import (
     A,
     Abracket,
-    ArtinCalculator,
+    BraidCalculator,
     C,
     D,
     Q,
@@ -156,7 +156,7 @@ def test_presentation_zaza_base_product_is_central_power():
     # Z_1 A^{(1)} .. A^{(r-1)} Z_2 A^{(r)} = (rho_0 rho_1)^{2r}
     for r in (1, 2, 3):
         prm = params(r, 2)
-        calc = ArtinCalculator(prm.strands)
+        calc = BraidCalculator(prm.strands)
         prod = Z(1, prm)
         for p in range(1, r):
             prod = prod * A(1, 2, p, prm)
@@ -168,7 +168,7 @@ def test_presentation_zaza_base_product_is_central_power():
 def test_r1_degeneration_recovers_classical_pure_braid_relations():
     # the A^{(r)} braids satisfy the classical relations verbatim
     prm = params(1, 4)
-    calc = ArtinCalculator(prm.strands)
+    calc = BraidCalculator(prm.strands)
 
     def as_orbit_gen(i, j):
         # classical A_{i,j} of the orbit strands is A^{(1)}_{i,j} at r=1
@@ -193,7 +193,7 @@ def test_r1_degeneration_recovers_classical_pure_braid_relations():
                         ci = calc.product(ajl, ail, ~ajl, ~ail)
                         rhs = calc.product(c, as_orbit_gen(k, l), ci)
                     else:
-                        rhs = calc.endo(as_orbit_gen(k, l))
+                        rhs = calc.form(as_orbit_gen(k, l))
                     assert lhs == rhs, (i, j, k, l)
 
 
@@ -222,7 +222,7 @@ def test_pbn_correspondence_requires_r2():
 def test_top_index_braids_satisfy_classical_relations(r, n):
     # the A^{(r)} family satisfies the classical pure braid relations verbatim
     prm = params(r, n)
-    calc = ArtinCalculator(prm.strands)
+    calc = BraidCalculator(prm.strands)
     a = {(i, j): A(i, j, r, prm) for j in range(2, n + 1) for i in range(1, j)}
     for j in range(2, n + 1):
         for i in range(1, j):
