@@ -9,7 +9,10 @@ Equality of braids is decided by Garside left normal form
 (:mod:`braidforge.garside`): two words are equal in the braid group exactly
 when their normal forms agree.  The Artin representation is kept for the
 places that print or inspect free-group images, and as an independent
-oracle in the tests.
+oracle in the tests.  :func:`artin` reads a word right to left: prefixing
+one letter to a word whose action is already known rewrites only the images
+of the two generators that letter moves, so each letter costs two images
+rather than n, and reduction happens only at the joins of reduced words.
 """
 from __future__ import annotations
 
@@ -100,49 +103,50 @@ def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
     return out
 
 
-# Images of t_i, t_{i+1} under a single Artin generator, per the defining
-# action: sigma_i sends t_i -> t_i t_{i+1} t_i^-1 and t_{i+1} -> t_i.
-def _subst_letter(letters: list[int], gen: int, cap: int) -> list[int]:
-    i = abs(gen)
-    j = i + 1
-    out: list[int] = []
-    push = out.append
-    pop = out.pop
-
-    def emit(seq: tuple[int, ...]) -> None:
-        for y in seq:
-            if out and out[-1] == -y:
-                pop()
-            else:
-                push(y)
-
-    if gen > 0:
-        table = {i: (i, j, -i), -i: (i, -j, -i), j: (i,), -j: (-i,)}
-    else:
-        table = {i: (j,), -i: (-j,), j: (-j, i, j), -j: (-j, -i, j)}
-    for x in letters:
-        rep = table.get(x)
-        if rep is None:
-            if out and out[-1] == -x:
-                pop()
-            else:
-                push(x)
-        else:
-            emit(rep)
-    if len(out) > cap:
-        raise WordLengthError(
-            f"Artin image exceeded {cap} letters; raise {_MAX_LEN_ENV} if intended"
-        )
+def _conjugate(x: list[int], y: list[int], x_inv: list[int], neg: dict[int, int]) -> list[int]:
+    """The reduced word x y x^-1 from reduced x, y and x^-1; cancels only at the joins."""
+    out = x[:]
+    for w in (y, x_inv):
+        k, m = 0, min(len(out), len(w))
+        while k < m and out[-1 - k] == neg[w[k]]:
+            k += 1
+        if k:
+            del out[-k:]
+        out += w[k:]
     return out
 
 
 def artin(b: BraidWord) -> Endomorphism:
-    """The Artin representation of a braid word as a free-group endomorphism."""
+    """The Artin representation of a braid word as a free-group endomorphism.
+
+    sigma_i sends t_i -> t_i t_{i+1} t_i^-1 and t_{i+1} -> t_i, and fixes
+    the other generators.  The letters are read right to left: with psi the
+    action of the suffix already read, sigma_i sets
+    psi(t_i) <- psi(t_i) psi(t_{i+1}) psi(t_i)^-1 and psi(t_{i+1}) <- psi(t_i),
+    and sigma_i^-1 sets psi(t_i) <- psi(t_{i+1}) and
+    psi(t_{i+1}) <- psi(t_{i+1})^-1 psi(t_i) psi(t_{i+1}).  So each letter
+    rewrites two images, and the reduced images cancel only where they join.
+    Images are never mutated once built, so the moved one is shared, not
+    copied.  Letters are negated through one table, so every image holds a
+    single int object per letter value.
+    """
     n = b.strands
     cap = max_word_len()
+    neg = {z: -z for z in range(-n, n + 1)}
     images: list[list[int]] = [[i] for i in range(1, n + 1)]
-    for gen in b.letters:
-        images = [_subst_letter(img, gen, cap) for img in images]
+    for gen in reversed(b.letters):
+        i = abs(gen) - 1
+        u, v = images[i], images[i + 1]
+        if gen > 0:
+            built = _conjugate(u, v, [neg[x] for x in reversed(u)], neg)
+            images[i], images[i + 1] = built, u
+        else:
+            built = _conjugate([neg[x] for x in reversed(v)], u, v, neg)
+            images[i], images[i + 1] = v, built
+        if len(built) > cap:
+            raise WordLengthError(
+                f"Artin image exceeded {cap} letters; raise {_MAX_LEN_ENV} if intended"
+            )
     return Endomorphism(n, tuple(Word(n, tuple(img)) for img in images))
 
 

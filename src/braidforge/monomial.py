@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .braid import BraidWord, BraidError, empty_braid, linking_pairs, permutation
 from .garside import NormalForm, inverse, normal_form, product
@@ -376,18 +377,20 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
         for j in range(i + 1, n + 1):
             for p in range(1, r + 1):
                 ac[i, j, p] = A(i, j, p, prm)
-
-    def abr(i, j, p):
-        return Abracket(i, j, p, prm)
+    # The other named blocks are built on first use, once per run.
+    abr = cache(lambda i, j, p: Abracket(i, j, p, prm))
+    cc = cache(lambda j: C(j, prm))
+    dc = cache(lambda i: D(i, prm))
+    dext = cache(lambda i, j: lemma_conj_D(i, j, prm))
 
     def conj_factors(conj: list[BraidWord], mid: BraidWord) -> list[BraidWord]:
         return conj + [mid] + [~f for f in reversed(conj)]
 
     def q_factors(j: int, p: int) -> list[BraidWord]:
-        factors: list[BraidWord] = [C(j, prm)]
+        factors: list[BraidWord] = [cc(j)]
         for q in range(1, p + 1):
             for i in range(1, j):
-                d = lemma_conj_D(i, j, prm)
+                d = dext(i, j)
                 factors.extend([d, ac[i, j, q], ~d])
         return factors
 
@@ -525,9 +528,8 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
-                        d = D(i, prm)
                         elems = [
-                            conj_factors([d], ac[i, j, p]),
+                            conj_factors([dc(i)], ac[i, j, p]),
                             [ac[j, k, r - q]],
                             conj_factors(bracket_chain(i, j, k, q), ac[i, k, r - q + p]),
                         ]

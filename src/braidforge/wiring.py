@@ -22,12 +22,12 @@ from .braid import (
     BraidWord,
     BraidError,
     artin,
-    braid_equal,
     empty_braid,
     linking_numbers,
     permutation,
 )
 from .freegroup import Word, abelianize
+from . import garside
 from .report import Report
 
 __all__ = [
@@ -260,15 +260,15 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
     orders = list(_perms(range(len(nontrivial))))
     if len(orders) > 24:
         orders = [orders[0], orders[-1]]
+    target = garside.normal_form(n, g.braid.letters)
+    factors = []
+    for block in nontrivial:
+        mu = permutation_braid_mu(sorted(perm_inv(s) for s in block), n)
+        factors.append(garside.normal_form(n, (~g.conjugator * mu * mu * g.conjugator).letters))
     for order in orders:
-        prod = empty_braid(n)
-        for idx in order:
-            positions = sorted(perm_inv(s) for s in nontrivial[idx])
-            mu = permutation_braid_mu(positions, n)
-            prod = prod * ~g.conjugator * mu * mu * g.conjugator
         report.add(
             f"per-block product, order {order}",
-            braid_equal(prod, g.braid),
+            garside.product(n, [factors[i] for i in order]) == target,
         )
     return report
 

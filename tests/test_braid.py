@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -22,7 +23,18 @@ from braidforge.braid import (
     verify_braid_relations,
     verify_pure_braid_relations,
 )
-from braidforge.freegroup import apply, compose, conjugate, invert, multiply, word
+from braidforge.cli import run
+from braidforge.freegroup import (
+    Endomorphism,
+    WordLengthError,
+    apply,
+    compose,
+    conjugate,
+    identity,
+    invert,
+    multiply,
+    word,
+)
 
 
 def random_braid(rng, n, max_len=20):
@@ -40,6 +52,62 @@ def test_artin_inverse_generator():
     e = artin(braid(3, [-1]))
     assert [w.letters for w in e.images] == [(2,), (-2, 1, 2), (3,)]
     assert compose(artin(braid(3, [1])), e).images == artin(empty_braid(3)).images
+
+
+def letter_image(n, x):
+    """The defining action of one letter: sigma_i sends t_i -> t_i t_{i+1} t_i^-1
+    and t_{i+1} -> t_i; sigma_i^-1 sends t_i -> t_{i+1} and
+    t_{i+1} -> t_{i+1}^-1 t_i t_{i+1}; every other t_k is fixed."""
+    i = abs(x)
+    images = [[k] for k in range(1, n + 1)]
+    if x > 0:
+        images[i - 1], images[i] = [i, i + 1, -i], [i]
+    else:
+        images[i - 1], images[i] = [i + 1], [-(i + 1), i, i + 1]
+    return Endomorphism(n, tuple(word(n, img) for img in images))
+
+
+@given(st.integers(2, 8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_artin_matches_fold_of_letter_images(n, data):
+    gens = [s for s in range(-(n - 1), n) if s != 0]
+    letters = data.draw(st.lists(st.sampled_from(gens), max_size=30))
+    expected = identity(n)
+    for x in letters:
+        expected = compose(expected, letter_image(n, x))
+    assert artin(braid(n, letters)) == expected
+
+
+def test_artin_enforces_word_cap(monkeypatch):
+    long = braid(3, [1, -2] * 4)
+    assert max(len(w) for w in artin(long).images) > 10
+    monkeypatch.setenv("BRAIDFORGE_MAX_WORD_LEN", "10")
+    assert max(len(w) for w in artin(braid(3, [1, 2])).images) <= 10
+    with pytest.raises(WordLengthError):
+        artin(long)
+
+
+def test_present_monomial_at_the_guard():
+    # (6,6) is the largest point the CLI admits.  Level j has rank
+    # 1 + (j-1) r, and each lower generator acts on each level-j generator
+    # by a conjugate w t w^-1 of that generator.
+    r = n = 6
+    buf = io.StringIO()
+    assert run(["present", "monomial", "--r", str(r), "--n", str(n)], buf) == 0
+    lines = buf.getvalue().splitlines()
+    ranks = [1 + (j - 1) * r for j in range(1, n + 1)]
+    expected = sum(sum(ranks[:j]) * ranks[j] for j in range(n))
+    relations = [line for line in lines if not line.startswith("#")]
+    assert len(relations) == expected
+    for line in relations:
+        lhs, rhs = line.split(" = ")
+        conj, target, conj_again = lhs.split(" ")
+        assert conj == f"{conj_again}^-1"
+        tokens = rhs.split(" ")
+        half = len(tokens) // 2
+        assert len(tokens) % 2 == 1 and tokens[half] == target, line
+        for a, b in zip(tokens[:half], reversed(tokens[half + 1:])):
+            assert a == f"{b}^-1" or b == f"{a}^-1", line
 
 
 def test_artin_full_twist_on_two_strands():
