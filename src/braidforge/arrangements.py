@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from . import monomial as mono
 from .braid import BraidWord, artin, braid_equal, full_twist, permutation, pure_gen, u_chain
-from .freegroup import Word, invert, multiply, reduce as reduce_word
+from .freegroup import Word, WordError, invert, multiply, peel_conjugate, reduce as reduce_word
 from .report import Report
 from .wiring import RealLine, braid_monodromy, real_line, wiring_from_real_lines
 
@@ -590,7 +590,12 @@ def verify_pbn_table(n: int) -> Report:
             report.add(cell.name, computed == expected)
             continue
         # no literal reading: peel the computed conjugator and report it
-        w = _peel(computed, q)
+        try:
+            w, core = peel_conjugate(computed)
+        except WordError:
+            core = None
+        if core != q:
+            raise ArrangementError(f"image is not a conjugate of t{q}: {computed}")
         detail = f"computed: w tw^-1 with w = {_word_as_symbols(w, l)}"
         if cell.emendation is not None:
             K = _sym_word(cell.emendation, l)
@@ -598,13 +603,3 @@ def verify_pbn_table(n: int) -> Report:
             detail += "; c_l reading %s" % ("matches" if expected == computed else "differs")
         report.add(f"{cell.name} [no literal reading]", True, detail)
     return report
-
-
-def _peel(w: Word, core: int) -> Word:
-    letters = w.letters
-    m = len(letters)
-    if m % 2 == 1 and letters[m // 2] == core:
-        half = m // 2
-        if all(letters[k] == -letters[m - 1 - k] for k in range(half)):
-            return Word(w.rank, letters[:half])
-    raise ArrangementError(f"image is not a conjugate of t{core}: {w}")

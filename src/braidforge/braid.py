@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .freegroup import Endomorphism, Word, WordLengthError, max_word_len, _MAX_LEN_ENV
+from .freegroup import Endomorphism, Word
 from .garside import normal_form
 from .report import Report
 
@@ -131,7 +131,6 @@ def artin(b: BraidWord) -> Endomorphism:
     single int object per letter value.
     """
     n = b.strands
-    cap = max_word_len()
     neg = {z: -z for z in range(-n, n + 1)}
     images: list[list[int]] = [[i] for i in range(1, n + 1)]
     for gen in reversed(b.letters):
@@ -143,10 +142,6 @@ def artin(b: BraidWord) -> Endomorphism:
         else:
             built = _conjugate([neg[x] for x in reversed(v)], u, v, neg)
             images[i], images[i + 1] = v, built
-        if len(built) > cap:
-            raise WordLengthError(
-                f"Artin image exceeded {cap} letters; raise {_MAX_LEN_ENV} if intended"
-            )
     return Endomorphism(n, tuple(Word(n, tuple(img)) for img in images))
 
 

@@ -167,17 +167,17 @@ def _parse_flats_file(text: str) -> liealg.HolonomyPresentation:
             ids = [index[name] for name in flat]
         except KeyError as exc:
             raise CliError(f"flat member {exc.args[0]} missing from gens") from exc
-        rels.extend(liealg.flat_relations(ids, len(gens)))
+        rels.extend(liealg.flat_relations(ids))
     return liealg.HolonomyPresentation(len(gens), tuple(gens), tuple(rels))
 
 
-def _rank_table(ranks, exps, fmt: str) -> str:
+def _rank_table(ranks, expected, fmt: str) -> str:
     rows = [("degree", "rank", "expected", "match")]
     for k, rank in enumerate(ranks, start=1):
-        if exps is None:
+        if expected is None:
             rows.append((str(k), str(rank), "-", "-"))
         else:
-            expect = sum(liealg.witt_rank(d, k) for d in exps)
+            expect = expected[k - 1]
             rows.append((str(k), str(rank), str(expect), "yes" if rank == expect else "NO"))
     if fmt == "tsv":
         return "\n".join("\t".join(row) for row in rows) + "\n"
@@ -190,7 +190,7 @@ def _rank_table(ranks, exps, fmt: str) -> str:
 
 def _cmd_lie(args, out) -> int:
     _guard("max-degree", args.max_degree, MAX_DEGREE)
-    exps = None
+    exps = ranks = None
     if args.exponents:
         exps = [int(tok) for tok in args.exponents.split(",") if tok]
     if args.monomial:
@@ -207,16 +207,20 @@ def _cmd_lie(args, out) -> int:
     elif args.flats:
         pres = _parse_flats_file(_read_file(args.flats))
         ranks = liealg.graded_ranks(pres, args.max_degree)
-    elif exps is not None:
-        ranks = [sum(liealg.witt_rank(d, k) for d in exps) for k in range(1, args.max_degree + 1)]
-    else:
+    elif exps is None:
         raise CliError("lie needs one of --exponents, --monomial, or --flats")
-    out.write(_rank_table(ranks, exps, args.format))
+    expected = None
     if exps is not None:
+        expected = [
+            sum(liealg.witt_rank(d, k) for d in exps) for k in range(1, args.max_degree + 1)
+        ]
+    if ranks is None:
+        ranks = expected
+    out.write(_rank_table(ranks, expected, args.format))
+    if expected is not None:
         bad = [
-            k
-            for k, rank in enumerate(ranks, start=1)
-            if rank != sum(liealg.witt_rank(d, k) for d in exps)
+            k for k, (rank, expect) in enumerate(zip(ranks, expected), start=1)
+            if rank != expect
         ]
         if bad:
             for k in bad:

@@ -11,7 +11,6 @@ commutator is ``[u, v] = u v u^-1 v^-1``.
 """
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,14 +19,13 @@ __all__ = [
     "Word",
     "Endomorphism",
     "WordError",
-    "WordLengthError",
-    "max_word_len",
     "reduce",
     "word",
     "multiply",
     "invert",
     "conjugate",
     "commutator",
+    "peel_conjugate",
     "apply",
     "compose",
     "identity",
@@ -36,29 +34,8 @@ __all__ = [
     "word_from_text",
 ]
 
-DEFAULT_MAX_WORD_LEN = 10**6
-_MAX_LEN_ENV = "BRAIDFORGE_MAX_WORD_LEN"
-
-
 class WordError(ValueError):
     """Malformed word data: bad letter, rank mismatch, or parse failure."""
-
-
-class WordLengthError(WordError):
-    """An intermediate word outgrew the BRAIDFORGE_MAX_WORD_LEN cap."""
-
-
-def max_word_len() -> int:
-    raw = os.environ.get(_MAX_LEN_ENV)
-    if raw is None:
-        return DEFAULT_MAX_WORD_LEN
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise WordError(f"{_MAX_LEN_ENV} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise WordError(f"{_MAX_LEN_ENV} must be positive, got {value}")
-    return value
 
 
 def _check_letters(letters: Iterable[int], rank: int) -> None:
@@ -160,6 +137,20 @@ def commutator(u: Word, v: Word) -> Word:
     return multiply(multiply(u, v), multiply(invert(u), invert(v)))
 
 
+def peel_conjugate(w: Word) -> tuple[Word, int]:
+    """Split a reduced word of the form u t_s u^-1 into (u, s)."""
+    letters = w.letters
+    half = len(letters) // 2
+    u = letters[:half]
+    if (
+        len(letters) % 2 == 0
+        or letters[half] < 0
+        or [-x for x in reversed(u)] != list(letters[half + 1:])
+    ):
+        raise WordError(f"not a conjugate of a generator: {w}")
+    return Word(w.rank, u), letters[half]
+
+
 def abelianize(u: Word) -> tuple[int, ...]:
     """Exponent-sum vector of the word, one entry per generator."""
     counts = [0] * u.rank
@@ -200,7 +191,6 @@ def apply(e: Endomorphism, u: Word) -> Word:
     """Image of a word under an endomorphism, fully reduced."""
     if e.rank != u.rank:
         raise WordError(f"rank mismatch: {e.rank} != {u.rank}")
-    cap = max_word_len()
     out: list[int] = []
     for x in u.letters:
         img = e.images[abs(x) - 1].letters
@@ -211,11 +201,6 @@ def apply(e: Endomorphism, u: Word) -> Word:
                 out.pop()
             else:
                 out.append(y)
-        if len(out) > cap:
-            raise WordLengthError(
-                f"intermediate word exceeded {cap} letters; "
-                f"raise {_MAX_LEN_ENV} to allow larger computations"
-            )
     return Word(u.rank, tuple(out))
 
 

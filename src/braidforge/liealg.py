@@ -37,11 +37,9 @@ from .report import Report
 __all__ = [
     "LieError",
     "LieElement",
-    "LyndonBasis",
     "HolonomyPresentation",
     "witt_rank",
     "lyndon_words",
-    "lyndon_basis",
     "standard_factorization",
     "bracket",
     "generator",
@@ -126,27 +124,27 @@ def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     return w[: len(w) - len(v)], v
 
 
-def _poly_mult(P: dict, Q: dict) -> dict:
+def _accumulate(acc: dict, items: Iterable, scale: int = 1) -> dict:
+    """Add scale * items, given as (key, coefficient) pairs, into the sparse row acc.
+
+    Entries that cancel are dropped, so acc never holds a zero.  This is the
+    one place where sparse integer rows are added; acc is returned.
+    """
+    for key, c in items:
+        new = acc.get(key, 0) + scale * c
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def _commutator_poly(P: dict, Q: dict) -> dict:
+    """The associative commutator PQ - QP of two noncommutative polynomials."""
     out: dict[tuple[int, ...], int] = {}
     for u, cu in P.items():
         for v, cv in Q.items():
-            word = u + v
-            c = out.get(word, 0) + cu * cv
-            if c:
-                out[word] = c
-            else:
-                out.pop(word, None)
-    return out
-
-
-def _poly_sub(P: dict, Q: dict, scale: int = 1) -> dict:
-    out = dict(P)
-    for w, c in Q.items():
-        new = out.get(w, 0) - scale * c
-        if new:
-            out[w] = new
-        else:
-            out.pop(w, None)
+            _accumulate(out, ((u + v, cu * cv), (v + u, -cu * cv)))
     return out
 
 
@@ -156,8 +154,7 @@ def _lyndon_poly(w: tuple[int, ...]) -> dict:
     if len(w) == 1:
         return {w: 1}
     u, v = standard_factorization(w)
-    pu, pv = _lyndon_poly(u), _lyndon_poly(v)
-    return _poly_sub(_poly_mult(pu, pv), _poly_mult(pv, pu))
+    return _commutator_poly(_lyndon_poly(u), _lyndon_poly(v))
 
 
 def _assoc_to_lyndon(P: dict) -> dict[tuple[int, ...], int]:
@@ -170,7 +167,7 @@ def _assoc_to_lyndon(P: dict) -> dict[tuple[int, ...], int]:
             raise LieError(f"not a Lie element: leading word {w} is not Lyndon")
         c = P[w]
         out[w] = c
-        P = _poly_sub(P, _lyndon_poly(w), c)
+        _accumulate(P, _lyndon_poly(w).items(), -c)
     return out
 
 
@@ -181,8 +178,7 @@ def _bracket_pair(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[i
         return ()
     if v < u:
         return tuple((w, -c) for w, c in _bracket_pair(v, u))
-    pu, pv = _lyndon_poly(u), _lyndon_poly(v)
-    prod = _poly_sub(_poly_mult(pu, pv), _poly_mult(pv, pu))
+    prod = _commutator_poly(_lyndon_poly(u), _lyndon_poly(v))
     return tuple(sorted(_assoc_to_lyndon(prod).items()))
 
 
@@ -210,25 +206,13 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         if self.degree != other.degree:
             raise LieError("cannot add elements of different degrees")
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            new = terms.get(w, 0) + c
-            if new:
-                terms[w] = new
-            else:
-                terms.pop(w, None)
-        return LieElement(self.degree, terms)
+        return LieElement(self.degree, _accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "LieElement":
         return LieElement(self.degree, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + (-other)
-
-    def scale(self, k: int) -> "LieElement":
-        if not k:
-            return LieElement(self.degree, {})
-        return LieElement(self.degree, {w: k * c for w, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -250,35 +234,8 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     terms: dict[tuple[int, ...], int] = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            for w, c in _bracket_pair(u, v):
-                new = terms.get(w, 0) + cu * cv * c
-                if new:
-                    terms[w] = new
-                else:
-                    terms.pop(w, None)
+            _accumulate(terms, _bracket_pair(u, v), cu * cv)
     return LieElement(degree, terms)
-
-
-@dataclass(frozen=True)
-class LyndonBasis:
-    """Lyndon words by degree for a fixed alphabet size, with Witt counts."""
-
-    d: int
-    max_degree: int
-    words: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def degree(self, k: int) -> tuple[tuple[int, ...], ...]:
-        if not (1 <= k <= self.max_degree):
-            raise LieError(f"degree {k} outside basis range")
-        return self.words[k - 1]
-
-
-def lyndon_basis(d: int, max_degree: int) -> LyndonBasis:
-    words = tuple(lyndon_words(d, k) for k in range(1, max_degree + 1))
-    for k, ws in enumerate(words, start=1):
-        if len(ws) != witt_rank(d, k):
-            raise LieError(f"Lyndon count mismatch at degree {k}")
-    return LyndonBasis(d, max_degree, words)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +267,13 @@ class HolonomyPresentation:
             raise LieError("level count disagrees with generator count")
 
 
-def flat_relations(flat: Sequence[int], d: int) -> list[LieElement]:
+def flat_relations(flat: Sequence[int]) -> list[LieElement]:
     """The m relations [x_{q_1}+...+x_{q_m}, x_{q_k}] of one flat (1-based gens)."""
     rels = []
     for q in flat:
         terms: dict[tuple[int, ...], int] = {}
         for s in flat:
-            for w, c in _bracket_pair((s,), (q,)):
-                new = terms.get(w, 0) + c
-                if new:
-                    terms[w] = new
-                else:
-                    terms.pop(w, None)
+            _accumulate(terms, _bracket_pair((s,), (q,)))
         rels.append(LieElement(2, terms))
     return rels
 
@@ -345,7 +297,7 @@ def holonomy_relations_from_flats(flats, labels) -> HolonomyPresentation:
         except KeyError as exc:
             raise LieError(f"flat member {exc.args[0]!r} is not a known label") from exc
         flat_indices.append(idx)
-        rels.extend(flat_relations([i + 1 for i in idx], len(labels)))
+        rels.extend(flat_relations([i + 1 for i in idx]))
     levels = None
     if labels and all(hasattr(lab, "level") for lab in labels):
         levels = tuple(lab.level for lab in labels)
@@ -381,11 +333,7 @@ def monomial_bracket_relations(r: int, n: int) -> HolonomyPresentation:
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
             members = [z(j), z(l)] + [a(j, l, p) for p in range(1, r + 1)]
-            for y in members[1:]:
-                total = LieElement(2, {})
-                for s in members:
-                    total = total + brk(s, y)
-                rels.append(total)
+            rels.extend(flat_relations(members)[1:])
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
@@ -393,11 +341,7 @@ def monomial_bracket_relations(r: int, n: int) -> HolonomyPresentation:
                     for m in range(1, r + 1):
                         q = (p + m - 1) % r + 1
                         members = [a(i, j, p), a(i, k, q), a(j, k, m)]
-                        for y in members[1:]:
-                            total = LieElement(2, {})
-                            for s in members:
-                                total = total + brk(s, y)
-                            rels.append(total)
+                        rels.extend(flat_relations(members)[1:])
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     for ai in range(len(pairs)):
         for bi in range(ai + 1, len(pairs)):
@@ -434,20 +378,10 @@ def lemma_brackets_transform(x_index: int, y_index: int, w_ab: Sequence[int], of
     Conjugate choices of w change the result by multiples of brackets with
     y, so the emitted relation set is well defined up to row span.
     """
-    terms: dict[tuple[int, ...], int] = {}
-
-    def add(s: int, coeff: int) -> None:
-        for word, c in _bracket_pair((s,), (y_index,)):
-            new = terms.get(word, 0) + coeff * c
-            if new:
-                terms[word] = new
-            else:
-                terms.pop(word, None)
-
-    add(x_index, 1)
+    terms = dict(_bracket_pair((x_index,), (y_index,)))
     for pos, coeff in enumerate(w_ab, start=1):
         if coeff:
-            add(offset + pos, coeff)
+            _accumulate(terms, _bracket_pair((offset + pos,), (y_index,)), coeff)
     return LieElement(2, terms)
 
 
@@ -500,21 +434,7 @@ def ft_bracket_relations(tower) -> HolonomyPresentation:
                         raise LieError("linking pattern of tower braid is not a block clique")
                 seen |= block
                 flats.append(tuple(sorted([x - 1] + [base + t - 1 for t in block])))
-                if len(block) == 1:
-                    rels.append(
-                        LieElement(2, dict(_bracket_pair((x,), (base + s,))))
-                    )
-                    continue
-                for q in sorted(block):
-                    terms: dict[tuple[int, ...], int] = {}
-                    for member in [x] + [base + t for t in sorted(block)]:
-                        for word, c in _bracket_pair((member,), (base + q,)):
-                            new = terms.get(word, 0) + c
-                            if new:
-                                terms[word] = new
-                            else:
-                                terms.pop(word, None)
-                    rels.append(LieElement(2, terms))
+                rels.extend(flat_relations([x] + [base + t for t in sorted(block)])[1:])
     return HolonomyPresentation(
         len(labels), tuple(labels), tuple(rels), tuple(levels), tuple(flats)
     )
@@ -544,16 +464,7 @@ def _echelon_insert(pivots: dict[tuple[int, ...], dict], row: dict) -> bool:
         a, b = piv[lead], row[lead]
         g = gcd(a, b)
         ma, mb = a // g, b // g
-        new = {}
-        for w, c in row.items():
-            new[w] = c * ma
-        for w, c in piv.items():
-            val = new.get(w, 0) - c * mb
-            if val:
-                new[w] = val
-            else:
-                new.pop(w, None)
-        row = new
+        row = _accumulate({w: c * ma for w, c in row.items()}, piv.items(), -mb)
     return False
 
 
@@ -620,12 +531,7 @@ def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) 
             for gen in range(1, pres.d + 1):
                 terms: dict[tuple[int, ...], int] = {}
                 for w, c in row.items():
-                    for word, cc in _bracket_pair((gen,), w):
-                        new = terms.get(word, 0) + c * cc
-                        if new:
-                            terms[word] = new
-                        else:
-                            terms.pop(word, None)
+                    _accumulate(terms, _bracket_pair((gen,), w), c)
                 if terms:
                     next_rows.append(terms)
         pivot_rows = next_rows
@@ -707,80 +613,70 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     # flat relations lie in the presented span (degree-2 elimination)
     _, pivots = _rank_of_rows(dict(rel.terms) for rel in pres.relations)
     for flat in flats:
-        for rel in flat_relations([g + 1 for g in flat], pres.d):
+        for rel in flat_relations([g + 1 for g in flat]):
             if _echelon_insert(dict(pivots), dict(rel.terms)):
                 raise LieError(
                     f"flat relation for {flat} is not implied by the presentation"
                 )
 
-    # the derivation action: omega(x, y) for x lower, y in the top level of
-    # their flat, expressed in the local Lyndon coordinates of that level.
-    def omega(x: int, y: int) -> "LieElement":
-        a, b = min(x, y), max(x, y)
-        flat = flats[pair_flat[(a, b)]]
+    # The derivation action, as sparse rows in the local Lyndon coordinates
+    # of a level: omega(x, y) for x lower and y in the top level of their
+    # flat, and delta(x, lv, terms) for x acting on an element of level lv.
+    def omega(x: int, y: int) -> dict:
+        flat = flats[pair_flat[(min(x, y), max(x, y))]]
         top_level = max(levels[g] for g in flat)
+        u = local_index[y][1]
         terms: dict[tuple[int, ...], int] = {}
         for z in flat:
-            if levels[z] != top_level or z == y:
-                continue
-            u = local_index[y][1]
-            v = local_index[z][1]
-            for w, c in _bracket_pair((u,), (v,)):
-                new = terms.get(w, 0) + c
-                if new:
-                    terms[w] = new
-                else:
-                    terms.pop(w, None)
-        return LieElement(2, terms)
+            if levels[z] == top_level and z != y:
+                _accumulate(terms, _bracket_pair((u,), (local_index[z][1],)))
+        return terms
 
-    delta_cache: dict[tuple[int, int, tuple[int, ...]], LieElement] = {}
+    delta_cache: dict[tuple[int, int, tuple[int, ...]], dict] = {}
 
-    def delta_word(x: int, lv: int, w: tuple[int, ...]) -> LieElement:
+    def delta_word(x: int, lv: int, w: tuple[int, ...]) -> dict:
         """Derivation action of generator x on the local Lyndon word w of level lv."""
         key = (x, lv, w)
         got = delta_cache.get(key)
         if got is not None:
             return got
         if len(w) == 1:
-            target = by_level[lv][w[0] - 1]
             if levels[x] == lv:
-                out = LieElement(
-                    2, dict(_bracket_pair((local_index[x][1],), (w[0],)))
-                )
+                out = dict(_bracket_pair((local_index[x][1],), w))
             else:
-                out = omega(x, target)
+                out = omega(x, by_level[lv][w[0] - 1])
         else:
+            # delta[u, v] = [delta u, v] + [u, delta v]
             u, v = standard_factorization(w)
-            left = bracket(delta_word(x, lv, u), LieElement(len(v), {v: 1}))
-            right = bracket(LieElement(len(u), {u: 1}), delta_word(x, lv, v))
-            out = left + right
+            out = {}
+            for t, c in delta_word(x, lv, u).items():
+                _accumulate(out, _bracket_pair(t, v), c)
+            for t, c in delta_word(x, lv, v).items():
+                _accumulate(out, _bracket_pair(u, t), c)
         delta_cache[key] = out
         return out
 
-    def delta(x: int, lv: int, elem: LieElement) -> LieElement:
-        out = LieElement(elem.degree + 1, {})
-        for w, c in elem.terms.items():
-            out = out + delta_word(x, lv, w).scale(c)
+    def delta(x: int, lv: int, terms: dict) -> dict:
+        out: dict[tuple[int, ...], int] = {}
+        for w, c in terms.items():
+            _accumulate(out, delta_word(x, lv, w).items(), c)
         return out
 
     # every presented relation maps to zero in the semidirect sum
     for rel in pres.relations:
-        images: dict[int, LieElement] = {}
+        images: dict[int, dict] = {}
         for (a, b), coeff in _degree2_pairs(rel):
             la, lb = levels[a], levels[b]
             if la == lb:
                 lv = la
-                u, v = local_index[a][1], local_index[b][1]
-                img = LieElement(2, dict(_bracket_pair((u,), (v,)))).scale(coeff)
+                img = _bracket_pair((local_index[a][1],), (local_index[b][1],))
             elif la < lb:
-                lv = lb
-                img = omega(a, b).scale(coeff)
+                lv, img = lb, omega(a, b).items()
             else:
-                lv = la
-                img = omega(b, a).scale(-coeff)
-            images[lv] = images.get(lv, LieElement(2, {})) + img
+                lv, img, coeff = la, omega(b, a).items(), -coeff
+            _accumulate(images.setdefault(lv, {}), img, coeff)
         for lv, img in images.items():
-            if not img.is_zero():
+            if img:
                 raise LieError(
                     f"presented relation does not vanish in the level-{lv} "
                     "semidirect sum; certificate fails"
@@ -795,13 +691,12 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
             if not support or not support <= lower_gens:
                 continue
             for li in range(1, len(by_level[lv]) + 1):
-                y = LieElement(1, {(li,): 1})
-                total = LieElement(3, {})
+                y = {(li,): 1}
+                total: dict[tuple[int, ...], int] = {}
                 for (a, b), coeff in _degree2_pairs(rel):
-                    da_b = delta(a, lv, delta(b, lv, y))
-                    db_a = delta(b, lv, delta(a, lv, y))
-                    total = total + (da_b - db_a).scale(coeff)
-                if not total.is_zero():
+                    _accumulate(total, delta(a, lv, delta(b, lv, y)).items(), coeff)
+                    _accumulate(total, delta(b, lv, delta(a, lv, y)).items(), -coeff)
+                if total:
                     raise LieError(
                         f"lower-level relation acts nontrivially on level {lv}; "
                         "certificate fails"

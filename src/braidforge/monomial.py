@@ -17,11 +17,11 @@ re-scanning long letter sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .braid import BraidWord, BraidError, empty_braid, linking_pairs, permutation
 from .garside import NormalForm, inverse, normal_form, product
+from .liealg import _rank_of_rows
 from .report import Report
 
 __all__ = [
@@ -592,7 +592,7 @@ def verify_generators_free_factor(prm: MonomialParams) -> Report:
         report.add(f"{name} linking pattern", pairs == expect, f"{pairs}")
         vectors.append(pairs)
 
-    rank = _pair_vector_rank(vectors, prm.strands)
+    rank, _ = _rank_of_rows(vectors)
     report.add(
         f"linking vectors independent (rank {len(gens)})",
         rank == len(gens),
@@ -606,37 +606,6 @@ def _parse_A_name(name: str) -> tuple[int, int]:
     ij, p = inner.split(";")
     i, _ = ij.split(",")
     return int(i), int(p)
-
-
-def _pair_vector_rank(vectors, strands: int) -> int:
-    cols = {}
-    rows = []
-    for vec in vectors:
-        row = {}
-        for pair, val in vec.items():
-            col = cols.setdefault(pair, len(cols))
-            row[col] = Fraction(val)
-        rows.append(row)
-    rank = 0
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                factor = row[c] / piv[c]
-                for cc, vv in piv.items():
-                    new = row.get(cc, Fraction(0)) - factor * vv
-                    if new:
-                        row[cc] = new
-                    else:
-                        row.pop(cc, None)
-            else:
-                pivots[c] = row
-                rank += 1
-                break
-    return rank
 
 
 def verify_pbn_correspondence(prm: MonomialParams) -> Report:

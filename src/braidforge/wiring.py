@@ -26,7 +26,7 @@ from .braid import (
     linking_numbers,
     permutation,
 )
-from .freegroup import Word, abelianize
+from .freegroup import WordError, abelianize, peel_conjugate
 from . import garside
 from .report import Report
 
@@ -147,14 +147,6 @@ def upsilon(I: ConsecutivePartition) -> BraidWord:
     return out
 
 
-def _conjugators(W: WiringDiagram) -> list[BraidWord]:
-    betas = [empty_braid(W.n)]
-    for j in range(W.m - 1):
-        I, between = W.events[j]
-        betas.append(between * upsilon(I) * betas[-1])
-    return betas
-
-
 def block_partition_V(W: WiringDiagram, j: int) -> tuple[tuple[int, ...], ...]:
     """Partition of [n] by original wire label of the lines meeting at event j.
 
@@ -165,11 +157,7 @@ def block_partition_V(W: WiringDiagram, j: int) -> tuple[tuple[int, ...], ...]:
     """
     if not (1 <= j <= W.m):
         raise WiringError(f"event index {j} out of range")
-    beta = _conjugators(W)[j - 1]
-    perm = permutation(beta)
-    I = W.events[j - 1][0]
-    blocks = [tuple(sorted(perm.of_set(block))) for block in I.blocks]
-    return tuple(sorted(blocks, key=lambda b: b[0]))
+    return braid_monodromy(W)[j - 1].blocks
 
 
 def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
@@ -191,22 +179,6 @@ def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
         gens.append(MonodromyGenerator(j, gamma, blocks, beta))
         beta = between * ups * beta
     return gens
-
-
-def _peel_conjugate(w: Word) -> tuple[Word, int]:
-    """Split a reduced word of the form u t_s u^-1 into (u, s)."""
-    letters = w.letters
-    m = len(letters)
-    if m % 2 == 0:
-        raise WiringError(f"not a conjugate of a generator: {w}")
-    half = m // 2
-    core = letters[half]
-    for k in range(half):
-        if letters[k] != -letters[m - 1 - k]:
-            raise WiringError(f"not a conjugate of a generator: {w}")
-    if core < 0:
-        raise WiringError(f"conjugate of an inverse generator: {w}")
-    return Word(w.rank, letters[:half]), core
 
 
 def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
@@ -238,8 +210,8 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
     for s in range(1, n + 1):
         img = e.images[s - 1]
         try:
-            w, core = _peel_conjugate(img)
-        except WiringError:
+            w, core = peel_conjugate(img)
+        except WordError:
             report.add(f"image of t{s} is a conjugate of t{s}", False, str(img))
             continue
         if core != s:

@@ -26,7 +26,7 @@ from braidforge.arrangements import (
     TowerLevel,
 )
 from braidforge.braid import braid_equal, empty_braid, full_twist, pure_gen, u_chain
-from braidforge.freegroup import abelianize, invert, multiply, word
+from braidforge.freegroup import Endomorphism, abelianize, invert, multiply, word
 from braidforge.wiring import wiring_from_real_lines
 
 
@@ -315,6 +315,19 @@ def test_pbn_table_special_cells_have_computed_rhs():
     specials = [c for c in rep.checks if "no literal reading" in c.name]
     assert len(specials) == 1  # only c[1]^-1 b[1,2] c[1] exists at n=2
     assert "c_l reading matches" in specials[0].detail
+
+
+def test_pbn_table_rejects_a_non_conjugate_image(monkeypatch):
+    # the special cells peel the computed image; t_q^2 is no conjugate of t_q
+    import braidforge.arrangements as arrangements
+
+    def squares(b):
+        n = b.strands
+        return Endomorphism(n, tuple(word(n, [i, i]) for i in range(1, n + 1)))
+
+    monkeypatch.setattr(arrangements, "artin", squares)
+    with pytest.raises(ArrangementError, match="not a conjugate"):
+        verify_pbn_table(2)
 
 
 def test_pbn_cells_cover_expected_count():

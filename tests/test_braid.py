@@ -26,7 +26,6 @@ from braidforge.braid import (
 from braidforge.cli import run
 from braidforge.freegroup import (
     Endomorphism,
-    WordLengthError,
     apply,
     compose,
     conjugate,
@@ -76,15 +75,6 @@ def test_artin_matches_fold_of_letter_images(n, data):
     for x in letters:
         expected = compose(expected, letter_image(n, x))
     assert artin(braid(n, letters)) == expected
-
-
-def test_artin_enforces_word_cap(monkeypatch):
-    long = braid(3, [1, -2] * 4)
-    assert max(len(w) for w in artin(long).images) > 10
-    monkeypatch.setenv("BRAIDFORGE_MAX_WORD_LEN", "10")
-    assert max(len(w) for w in artin(braid(3, [1, 2])).images) <= 10
-    with pytest.raises(WordLengthError):
-        artin(long)
 
 
 def test_present_monomial_at_the_guard():

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from braidforge.cli import run
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -68,9 +70,15 @@ def test_jobs_option_is_rejected():
 
 
 def test_equality_builds_no_artin_images(monkeypatch):
-    # A one-letter cap makes every Artin image raise, so these suites pass
-    # only if each equality is decided by normal form.
-    monkeypatch.setenv("BRAIDFORGE_MAX_WORD_LEN", "1")
+    # Every binding of artin raises, so these suites pass only if each
+    # equality is decided by normal form.
+    from braidforge import arrangements, braid, wiring
+
+    def no_artin(b):
+        raise AssertionError("an equality check built an Artin image")
+
+    for module in (braid, arrangements, wiring):
+        monkeypatch.setattr(module, "artin", no_artin)
     for suite, count in (("presentation", 164), ("lemma-conj", 40), ("relations", 6)):
         code, out = run_cli("monomial", "--r", "3", "--n", "4", "--verify", suite)
         assert code == 0, out
@@ -79,6 +87,8 @@ def test_equality_builds_no_artin_images(monkeypatch):
     assert code == 0 and "16/16 checks passed" in out
     code, out = run_cli("verify", "purebraid", "--n", "5")
     assert code == 0, out
+    with pytest.raises(AssertionError):
+        arrangements.verify_pbn_table(2)
 
 
 def test_presentation_past_the_verified_range_reports_every_check():

@@ -6,7 +6,6 @@ from braidforge.freegroup import (
     Endomorphism,
     Word,
     WordError,
-    WordLengthError,
     abelianize,
     apply,
     commutator,
@@ -15,6 +14,7 @@ from braidforge.freegroup import (
     identity,
     invert,
     multiply,
+    peel_conjugate,
     reduce,
     word,
     word_from_text,
@@ -156,11 +156,21 @@ def test_word_text_round_trip():
         word_from_text("t9", 3)
 
 
-def test_word_length_cap(monkeypatch):
-    monkeypatch.setenv("BRAIDFORGE_MAX_WORD_LEN", "10")
-    e = Endomorphism(2, (word(2, [1, 2, 1, 2, 1]), word(2, [2])))
-    with pytest.raises(WordLengthError):
-        apply(e, word(2, [1] * 10))
+def test_peel_conjugate():
+    assert peel_conjugate(word(3, [2])) == (word(3, []), 2)
+    assert peel_conjugate(word(3, [1, -3, 2, 3, -1])) == (word(3, [1, -3]), 2)
+    for bad in ([], [1, 2], [-2], [1, -2, 1], [1, 2, 2, -1, -1], [1, 3, -2]):
+        with pytest.raises(WordError):
+            peel_conjugate(word(3, bad))
+
+
+@given(letters_strategy, st.integers(min_value=1, max_value=4))
+def test_peel_conjugate_inverts_conjugation(letters, s):
+    u = reduce(letters, 4)
+    w = multiply(multiply(u, word(4, [s])), invert(u))
+    v, core = peel_conjugate(w)
+    assert core == s
+    assert multiply(multiply(v, word(4, [s])), invert(v)) == w
 
 
 @given(letters_strategy)

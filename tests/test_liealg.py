@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from braidforge.arrangements import (
     build_typeb_tower,
@@ -22,7 +25,6 @@ from braidforge.liealg import (
     graded_ranks,
     holonomy_relations_from_flats,
     lemma_brackets_transform,
-    lyndon_basis,
     lyndon_words,
     monomial_bracket_relations,
     standard_factorization,
@@ -106,7 +108,7 @@ def test_degree_mismatch_raises():
 
 
 def test_flat_relation_example():
-    rels = flat_relations([1, 2], 2)
+    rels = flat_relations([1, 2])
     # [x_a + x_b, x_a] = [x_b, x_a] and [x_a + x_b, x_b] = [x_a, x_b]
     assert rels[0].terms == {(1, 2): -1}
     assert rels[1].terms == {(1, 2): 1}
@@ -126,7 +128,7 @@ def test_holonomy_from_flats_monomial22():
 
 def test_braid_arrangement_infinitesimal_relations():
     # flats of the braid arrangement on 3 strands: one triple flat
-    rels = tuple(flat_relations([1, 2, 3], 3))
+    rels = tuple(flat_relations([1, 2, 3]))
     pres = HolonomyPresentation(3, ("A12", "A13", "A23"), rels)
     assert graded_ranks(pres, 4) == [witt_rank(1, k) + witt_rank(2, k) for k in range(1, 5)]
 
@@ -213,11 +215,60 @@ def test_tower_certificate_rejects_corruption():
     with pytest.raises(LieError):
         bad = HolonomyPresentation(hp.d, hp.labels, hp.relations, hp.levels, hp.flats[:-1])
         graded_ranks(bad, 3, method="tower")
+    # a bracket of two top-level generators is no relation of the semidirect sum
+    top = [g + 1 for g, lv in enumerate(hp.levels) if lv == 3]
+    extra = LieElement(2, {(top[0], top[1]): 1})
+    with pytest.raises(LieError, match="does not vanish"):
+        bad = HolonomyPresentation(hp.d, hp.labels, hp.relations + (extra,), hp.levels, hp.flats)
+        graded_ranks(bad, 3, method="tower")
+    # [a, b] = 0 on the lower levels, but a and b act on level 3 by derivations
+    # that do not commute (elimination gives rank 6 in degree 3, not 8)
+    flats = ((0, 1), (0, 2, 3), (0, 4), (1, 3, 4), (1, 2))
+    rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
+    bad = HolonomyPresentation(5, tuple("abcde"), rels, (1, 2, 3, 3, 3), flats)
+    assert graded_ranks(bad, 3, method="elimination") == [5, 3, 6]
+    with pytest.raises(LieError, match="acts nontrivially"):
+        graded_ranks(bad, 3, method="tower")
+
+
+def fraction_rank(rows, cols):
+    """Rank by Gaussian elimination over the rationals on dense rows."""
+    mat = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][j] / mat[rank][j]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@given(
+    st.lists(
+        st.dictionaries(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            st.integers(-3, 3).filter(bool),
+            max_size=6,
+        ),
+        max_size=8,
+    )
+)
+def test_rank_of_rows_matches_fraction_elimination(rows):
+    cols = sorted({key for row in rows for key in row})
+    rank, pivots = _rank_of_rows(rows)
+    assert rank == fraction_rank(rows, cols)
+    assert len(pivots) == rank
+    for lead, row in pivots.items():
+        assert min(row) == lead and row[lead] > 0 and all(row.values())
 
 
 def test_monotone_under_added_relations():
     rng = random.Random(3)
-    base = tuple(flat_relations([1, 2, 3], 4))
+    base = tuple(flat_relations([1, 2, 3]))
     pres = HolonomyPresentation(4, ("a", "b", "c", "d"), base)
     ranks = graded_ranks(pres, 4)
     for _ in range(5):
@@ -319,13 +370,6 @@ def test_degree2_torsion_diagnostic():
     # a deliberately torsionful quotient: 2[x1,x2] = 0
     bad = HolonomyPresentation(2, ("a", "b"), (LieElement(2, {(1, 2): 2}),))
     assert not degree2_torsion_diagnostic(bad)
-
-
-def test_lyndon_basis_type():
-    basis = lyndon_basis(2, 4)
-    assert [len(basis.degree(k)) for k in range(1, 5)] == [2, 1, 2, 3]
-    with pytest.raises(LieError):
-        basis.degree(9)
 
 
 def test_r2_flats_correspond_to_typeb_tower_flats():
