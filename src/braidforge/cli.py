@@ -188,14 +188,26 @@ def _rank_table(ranks, expected, fmt: str) -> str:
     ) + "\n"
 
 
+def _int_list(option: str, text: str, form: str, valid) -> list[int]:
+    """Parse ``--option``'s comma-separated integers; ``valid`` checks the list."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values or not valid(values):
+        raise CliError(f"--{option} expects {form}, got {text!r}")
+    return values
+
+
 def _cmd_lie(args, out) -> int:
     _guard("max-degree", args.max_degree, MAX_DEGREE)
     exps = ranks = None
-    if args.exponents:
-        exps = [int(tok) for tok in args.exponents.split(",") if tok]
-    if args.monomial:
-        r_str, n_str = args.monomial.split(",")
-        r, n = int(r_str), int(n_str)
+    if args.exponents is not None:
+        exps = _int_list("exponents", args.exponents, "d1,d2,... (positive integers)",
+                         lambda v: min(v) >= 1)
+    if args.monomial is not None:
+        r, n = _int_list("monomial", args.monomial, "r,n (two integers)",
+                         lambda v: len(v) == 2)
         _guard("r", r, MAX_R)
         _guard("n", n, MAX_N)
         pres = liealg.holonomy_relations_from_flats(

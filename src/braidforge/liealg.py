@@ -445,7 +445,12 @@ def ft_bracket_relations(tower) -> HolonomyPresentation:
 
 
 def _echelon_insert(pivots: dict[tuple[int, ...], dict], row: dict) -> bool:
-    """Reduce a sparse integer row against pivots; install it if nonzero."""
+    """Reduce a sparse integer row against pivots; install it if nonzero.
+
+    The function owns ``row``: it is reduced in place and may itself become
+    the installed pivot, so callers pass a fresh dict.  Installed pivot rows
+    are never changed.
+    """
     from math import gcd
 
     while row:
@@ -464,7 +469,9 @@ def _echelon_insert(pivots: dict[tuple[int, ...], dict], row: dict) -> bool:
         a, b = piv[lead], row[lead]
         g = gcd(a, b)
         ma, mb = a // g, b // g
-        row = _accumulate({w: c * ma for w, c in row.items()}, piv.items(), -mb)
+        if ma != 1:
+            row = {w: c * ma for w, c in row.items()}
+        _accumulate(row, piv.items(), -mb)
     return False
 
 
@@ -610,11 +617,12 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
             if levels[a] != levels[b] and (a, b) not in pair_flat:
                 raise LieError(f"mixed pair ({a},{b}) is not covered by any flat")
 
-    # flat relations lie in the presented span (degree-2 elimination)
+    # flat relations lie in the presented span (degree-2 elimination); an
+    # install raises at once, so the pivot table needs no copy
     _, pivots = _rank_of_rows(dict(rel.terms) for rel in pres.relations)
     for flat in flats:
         for rel in flat_relations([g + 1 for g in flat]):
-            if _echelon_insert(dict(pivots), dict(rel.terms)):
+            if _echelon_insert(pivots, dict(rel.terms)):
                 raise LieError(
                     f"flat relation for {flat} is not implied by the presentation"
                 )
@@ -662,10 +670,16 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
             _accumulate(out, delta_word(x, lv, w).items(), c)
         return out
 
+    # each relation as [x_a, x_b] combinations (0-based), split once
+    split = [
+        [((w[0] - 1, w[1] - 1), c) for w, c in rel.terms.items()]
+        for rel in pres.relations
+    ]
+
     # every presented relation maps to zero in the semidirect sum
-    for rel in pres.relations:
+    for pairs in split:
         images: dict[int, dict] = {}
-        for (a, b), coeff in _degree2_pairs(rel):
+        for (a, b), coeff in pairs:
             la, lb = levels[a], levels[b]
             if la == lb:
                 lv = la
@@ -682,33 +696,34 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
                     "semidirect sum; certificate fails"
                 )
 
-    # lower relations act trivially on every higher level
-    sorted_levels = sorted(by_level)
-    for lv in sorted_levels[1:]:
-        lower_gens = {g for g in range(pres.d) if levels[g] < lv}
-        for rel in pres.relations:
-            support = {g for (a, b), _ in _degree2_pairs(rel) for g in (a, b)}
-            if not support or not support <= lower_gens:
-                continue
-            for li in range(1, len(by_level[lv]) + 1):
-                y = {(li,): 1}
+    # lower relations act trivially on every higher level: a relation whose
+    # support tops out below lv must satisfy sum c (D_a D_b - D_b D_a) y = 0
+    # for each generator y of level lv.  The commutator of a pair depends on
+    # y, so it is cached per level generator and shared across relations.
+    tops = [
+        (max(levels[g] for ab, _ in pairs for g in ab), pairs) for pairs in split if pairs
+    ]
+    for lv in sorted(by_level)[1:]:
+        lower = [pairs for top, pairs in tops if top < lv]
+        for li in range(1, len(by_level[lv]) + 1):
+            y = (li,)
+            commutators: dict[tuple[int, int], dict] = {}
+            for pairs in lower:
                 total: dict[tuple[int, ...], int] = {}
-                for (a, b), coeff in _degree2_pairs(rel):
-                    _accumulate(total, delta(a, lv, delta(b, lv, y)).items(), coeff)
-                    _accumulate(total, delta(b, lv, delta(a, lv, y)).items(), -coeff)
+                for ab, coeff in pairs:
+                    comm = commutators.get(ab)
+                    if comm is None:
+                        a, b = ab
+                        comm = delta(a, lv, delta_word(b, lv, y))
+                        _accumulate(comm, delta(b, lv, delta_word(a, lv, y)).items(), -1)
+                        commutators[ab] = comm
+                    _accumulate(total, comm.items(), coeff)
                 if total:
                     raise LieError(
                         f"lower-level relation acts nontrivially on level {lv}; "
                         "certificate fails"
                     )
-
-
-def _degree2_pairs(rel: LieElement) -> list[tuple[tuple[int, int], int]]:
-    """Degree-2 element as [x_a, x_b] combinations with 0-based indices."""
-    out = []
-    for w, c in rel.terms.items():
-        out.append(((w[0] - 1, w[1] - 1), c))
-    return out
+        delta_cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,25 @@ def test_lie_mismatch_exit_code(tmp_path):
     assert "FAIL\tlie\tdegree" in out
 
 
+@pytest.mark.parametrize(
+    "option,value,form",
+    [
+        ("--monomial", "3", "r,n"),
+        ("--monomial", "3,x", "r,n"),
+        ("--monomial", "1,2,3", "r,n"),
+        ("--exponents", "1,x", "d1,d2,..."),
+        ("--exponents", ",", "d1,d2,..."),
+        ("--exponents", "", "d1,d2,..."),
+        ("--exponents", "0,2", "d1,d2,..."),
+    ],
+)
+def test_lie_malformed_lists(option, value, form):
+    code, out = run_cli("lie", option, value, "--max-degree", "2")
+    assert code == 2
+    assert out.startswith(f"error: {option} expects {form}")
+    assert out.count("\n") == 1
+
+
 def test_python_dash_m_entry_point():
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(

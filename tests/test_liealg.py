@@ -231,6 +231,20 @@ def test_tower_certificate_rejects_corruption():
         graded_ranks(bad, 3, method="tower")
 
 
+def test_tower_certificate_checks_every_top_level_generator():
+    # Level 3 is c, d, e, f.  a acts on d, e and b on e, f; neither moves c,
+    # so [D_a, D_b] kills c, the first generator of the level, but sends d to
+    # -[d, [e, f]].  A certificate that checked only c, or reused the
+    # commutator of (a, b) from c for the others, would accept [a, b] = 0.
+    flats = ((0, 1), (0, 2), (0, 3, 4), (0, 5), (1, 2), (1, 3), (1, 4, 5))
+    rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
+    bad = HolonomyPresentation(6, tuple("abcdef"), rels, (1, 2, 3, 3, 3, 3), flats)
+    witt = [sum(witt_rank(d, k) for d in (1, 1, 4)) for k in range(1, 4)]
+    assert graded_ranks(bad, 3, method="elimination") != witt
+    with pytest.raises(LieError, match="acts nontrivially on level 3"):
+        graded_ranks(bad, 3, method="tower")
+
+
 def fraction_rank(rows, cols):
     """Rank by Gaussian elimination over the rationals on dense rows."""
     mat = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
@@ -259,11 +273,31 @@ def fraction_rank(rows, cols):
 )
 def test_rank_of_rows_matches_fraction_elimination(rows):
     cols = sorted({key for row in rows for key in row})
+    given_rows = [dict(row) for row in rows]
     rank, pivots = _rank_of_rows(rows)
+    assert rows == given_rows  # the input rows are not reduced in place
     assert rank == fraction_rank(rows, cols)
     assert len(pivots) == rank
     for lead, row in pivots.items():
         assert min(row) == lead and row[lead] > 0 and all(row.values())
+    # an installed pivot row never changes when later rows are inserted
+    pivots, snapshots = {}, {}
+    for row in rows:
+        _echelon_insert(pivots, dict(row))
+        for lead, piv in pivots.items():
+            assert piv == snapshots.setdefault(lead, dict(piv))
+
+
+def test_echelon_scales_a_row_to_meet_a_pivot():
+    # the pivot leads with 2 and the row with 1, so the row is scaled by 2
+    # before the pivot is subtracted
+    pivot = {(1, 2): 2, (1, 3): 1}
+    pivots = {(1, 2): pivot}
+    row = {(1, 2): 1, (1, 4): 1}
+    assert _echelon_insert(pivots, row)
+    assert pivots == {(1, 2): {(1, 2): 2, (1, 3): 1}, (1, 3): {(1, 3): 1, (1, 4): -2}}
+    assert not _echelon_insert(pivots, {(1, 2): 3, (1, 3): -1, (1, 4): 5})
+    assert pivot == {(1, 2): 2, (1, 3): 1}
 
 
 def test_monotone_under_added_relations():
