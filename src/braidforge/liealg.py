@@ -518,30 +518,65 @@ def graded_ranks(
     return _tower_ranks(pres, max_degree, elimination_limit)
 
 
+def _word_code(w: tuple[int, ...], d: int) -> int:
+    """Integer code of a word over 1..d: its negated base-(d+1) digit value.
+
+    Among words of one length a smaller code is a lex-larger word, so the
+    ``min(row)`` lead of ``_echelon_insert`` is the row's lex-largest word.
+    """
+    value = 0
+    for letter in w:
+        value = value * (d + 1) + letter
+    return -value
+
+
 def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) -> list[int]:
+    """The ideal recurrence I_{k+1} = [L_1, I_k] on integer-coded Lyndon words.
+
+    Rows are keyed by ``_word_code``, so each pivot leads with its lex-largest
+    word; that keeps pivots sparser than lex-least leads do.  The images
+    [x_g, b(w)] are coded once per run, in one table per generator g.
+    """
+    d = pres.d
     for k in range(2, max_degree + 1):
-        dim = witt_rank(pres.d, k)
+        dim = witt_rank(d, k)
         if dim > limit:
             raise LieError(
                 f"degree {k} ambient dimension {dim} exceeds the elimination "
                 f"limit {limit}; use the tower method or raise the limit"
             )
-    ranks = [pres.d]
-    pivot_rows: list[dict] = [dict(rel.terms) for rel in pres.relations]
+    word_of: dict[int, tuple[int, ...]] = {}
+
+    def coded(items: Iterable) -> dict[int, int]:
+        row = {}
+        for w, c in items:
+            code = _word_code(w, d)
+            word_of[code] = w
+            row[code] = c
+        return row
+
+    _, pivots = _rank_of_rows(coded(rel.terms.items()) for rel in pres.relations)
+    ranks = [d]
     for k in range(2, max_degree + 1):
-        rank, pivots = _rank_of_rows(pivot_rows)
-        ranks.append(witt_rank(pres.d, k) - rank)
+        ranks.append(witt_rank(d, k) - len(pivots))
         if k == max_degree:
             break
-        next_rows: list[dict] = []
+        images: list[dict[int, tuple]] = [{} for _ in range(d + 1)]
+        next_pivots: dict[int, dict] = {}
         for row in pivots.values():
-            for gen in range(1, pres.d + 1):
-                terms: dict[tuple[int, ...], int] = {}
-                for w, c in row.items():
-                    _accumulate(terms, _bracket_pair((gen,), w), c)
+            for gen in range(1, d + 1):
+                image = images[gen]
+                terms: dict[int, int] = {}
+                for code, c in row.items():
+                    items = image.get(code)
+                    if items is None:
+                        items = image[code] = tuple(
+                            coded(_bracket_pair((gen,), word_of[code])).items()
+                        )
+                    _accumulate(terms, items, c)
                 if terms:
-                    next_rows.append(terms)
-        pivot_rows = next_rows
+                    _echelon_insert(next_pivots, terms)
+        pivots = next_pivots
     return ranks
 
 

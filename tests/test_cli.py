@@ -121,8 +121,8 @@ def test_lie_exponents():
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].split() == ["degree", "rank", "expected", "match"]
-    assert lines[1].split() == ["1", "4", "4", "yes"]
-    assert lines[3].split() == ["3", "8", "8", "yes"]
+    assert lines[1].split() == ["1", "4", "4", "-"]
+    assert lines[3].split() == ["3", "8", "8", "-"]
 
 
 def test_lie_monomial_tsv():
@@ -187,6 +187,23 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def test_closed_pipe_ends_without_traceback():
+    # unbuffered, the meridian lines go out at once and the cross-check lines
+    # later, after the reader has closed the pipe (``typeb ... | head -1``)
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidforge", "typeb", "--n", "6", "--verify"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"chi(")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    proc.wait(timeout=120)
+    assert err == ""
 
 
 def test_verify_purebraid():

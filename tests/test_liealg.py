@@ -17,6 +17,7 @@ from braidforge.liealg import (
     _echelon_insert,
     flat_relations,
     _rank_of_rows,
+    _word_code,
     bracket,
     check_lcs_additive,
     degree2_torsion_diagnostic,
@@ -298,6 +299,75 @@ def test_echelon_scales_a_row_to_meet_a_pivot():
     assert pivots == {(1, 2): {(1, 2): 2, (1, 3): 1}, (1, 3): {(1, 3): 1, (1, 4): -2}}
     assert not _echelon_insert(pivots, {(1, 2): 3, (1, 3): -1, (1, 4): 5})
     assert pivot == {(1, 2): 2, (1, 3): 1}
+
+
+def fraction_ideal_ranks(pres, max_degree):
+    """Graded ranks from I_2 = span(relations), I_{k+1} = [L_1, I_k].
+
+    Each I_k is spanned with the public ``bracket`` and cut to a basis by
+    Fraction elimination on sparse rows, leading with the lex-least word.
+    """
+    def basis(elements):
+        kept, pivots = [], {}
+        for x in elements:
+            row = {w: Fraction(c) for w, c in x.terms.items()}
+            while row and min(row) in pivots:
+                piv = pivots[min(row)]
+                f = row[min(row)] / piv[min(row)]
+                for w, c in piv.items():
+                    row[w] = row.get(w, 0) - f * c
+                    if not row[w]:
+                        del row[w]
+            if row:
+                pivots[min(row)] = row
+                kept.append(x)
+        return kept
+
+    ideal = basis(pres.relations)
+    ranks = [pres.d]
+    for k in range(2, max_degree + 1):
+        ranks.append(witt_rank(pres.d, k) - len(ideal))
+        ideal = basis(bracket(generator(g), x) for x in ideal for g in range(1, pres.d + 1))
+    return ranks
+
+
+def _noncommuting_action():
+    # the five-generator presentation of test_tower_certificate_rejects_corruption
+    flats = ((0, 1), (0, 2, 3), (0, 4), (1, 3, 4), (1, 2))
+    rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
+    return HolonomyPresentation(5, tuple("abcde"), rels)
+
+
+ORACLE_PRESENTATIONS = {
+    "triple flat": HolonomyPresentation(3, tuple("abc"), tuple(flat_relations([1, 2, 3]))),
+    "one commutator": HolonomyPresentation(3, tuple("abc"), (LieElement(2, {(1, 2): 1}),)),
+    "integer coefficients": HolonomyPresentation(4, tuple("abcd"), (
+        LieElement(2, {(1, 2): 2, (1, 3): -3, (3, 4): 1}),
+        LieElement(2, {(2, 4): 5, (1, 4): 1}),
+    )),
+    "monomial (2,2)": holonomy_relations_from_flats(monomial_flats(2, 2), monomial_hyperplanes(2, 2)),
+    "noncommuting action": _noncommuting_action(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESENTATIONS))
+def test_elimination_matches_fraction_ideal_recurrence(name):
+    pres = ORACLE_PRESENTATIONS[name]
+    assert graded_ranks(pres, 4, method="elimination") == fraction_ideal_ranks(pres, 4)
+
+
+def test_elimination_oracle_sees_the_noncommuting_action():
+    # the Witt sums of its levels (1, 1, 3) would be [5, 3, 8]
+    assert fraction_ideal_ranks(_noncommuting_action(), 3) == [5, 3, 6]
+
+
+def test_word_codes_order_lyndon_words_reverse_lex():
+    for d in range(1, 6):
+        for k in range(1, 6):
+            words = lyndon_words(d, k)
+            codes = [_word_code(w, d) for w in words]
+            assert sorted(codes) == codes[::-1]
+            assert len(set(codes)) == len(codes)
 
 
 def test_monotone_under_added_relations():
