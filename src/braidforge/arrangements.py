@@ -297,6 +297,9 @@ class GenInfo:
     level: int
     position: int
 
+    def label(self) -> str:
+        return self.name
+
 
 @dataclass(frozen=True)
 class Relation:

@@ -156,20 +156,8 @@ def _parse_flats_file(text: str) -> liealg.HolonomyPresentation:
             raise CliError(f"line {lineno}: a flat needs at least two members")
         flats.append(members)
     if not gens:
-        seen = {}
-        for flat in flats:
-            for name in flat:
-                seen.setdefault(name, None)
-        gens = list(seen)
-    index = {name: i + 1 for i, name in enumerate(gens)}
-    rels = []
-    for flat in flats:
-        try:
-            ids = [index[name] for name in flat]
-        except KeyError as exc:
-            raise CliError(f"flat member {exc.args[0]} missing from gens") from exc
-        rels.extend(liealg.flat_relations(ids))
-    return liealg.HolonomyPresentation(len(gens), tuple(gens), tuple(rels))
+        gens = list(dict.fromkeys(name for flat in flats for name in flat))
+    return liealg.holonomy_relations_from_flats(flats, gens)
 
 
 def _rank_table(cells, fmt: str) -> str:
@@ -334,12 +322,17 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away (``| head``): point stdout at devnull so the
-        # flush at interpreter exit cannot raise again, and end quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+    # A buffered writer retries short writes, so a reader that closes the
+    # pipe early surfaces as BrokenPipeError even when PYTHONUNBUFFERED makes
+    # sys.stdout a raw stream whose short writes would go unreported.
+    with open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+              errors=sys.stdout.errors, closefd=False) as out:
+        try:
+            code = run(sys.argv[1:], out)
+            out.flush()
+        except BrokenPipeError:
+            # the reader went away (``| head``): point stdout at devnull so
+            # the flush on closing cannot raise again, and end quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
     sys.exit(code)

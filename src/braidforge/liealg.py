@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .report import Report
-
 __all__ = [
     "LieError",
     "LieElement",
@@ -45,12 +43,9 @@ __all__ = [
     "generator",
     "flat_relations",
     "holonomy_relations_from_flats",
-    "monomial_bracket_relations",
     "ft_bracket_relations",
     "lemma_brackets_transform",
     "graded_ranks",
-    "check_lcs_additive",
-    "degree2_torsion_diagnostic",
 ]
 
 ELIMINATION_DIM_LIMIT = 260
@@ -268,9 +263,13 @@ class HolonomyPresentation:
 
 
 def flat_relations(flat: Sequence[int]) -> list[LieElement]:
-    """The m relations [x_{q_1}+...+x_{q_m}, x_{q_k}] of one flat (1-based gens)."""
+    """The m-1 relations [x_{q_1}+...+x_{q_m}, x_{q_k}], k = 2..m, of one flat.
+
+    Generators are 1-based.  The k = 1 relation is minus the sum of these,
+    so the m-1 listed relations span all m and are independent.
+    """
     rels = []
-    for q in flat:
+    for q in flat[1:]:
         terms: dict[tuple[int, ...], int] = {}
         for s in flat:
             _accumulate(terms, _bracket_pair((s,), (q,)))
@@ -281,9 +280,12 @@ def flat_relations(flat: Sequence[int]) -> list[LieElement]:
 def holonomy_relations_from_flats(flats, labels) -> HolonomyPresentation:
     """Holonomy presentation of an arrangement from its maximal flats.
 
-    ``labels`` fixes the generator order; each flat contributes the m
-    relations [x_{q_1}+...+x_{q_m}, x_{q_k}] (any m-1 of them independent).
-    Level data is attached when the labels expose a ``level`` attribute.
+    This is the one constructor of flats presentations.  ``labels`` fixes
+    the generator order and must be distinct; each flat, given as labels or
+    as an object with an ``ids`` tuple of labels, contributes its
+    ``flat_relations``.  Generator names come from ``label()`` where the
+    labels have it, and level data is attached when they all expose a
+    ``level`` attribute.
     """
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
@@ -307,69 +309,6 @@ def holonomy_relations_from_flats(flats, labels) -> HolonomyPresentation:
     )
 
 
-def monomial_bracket_relations(r: int, n: int) -> HolonomyPresentation:
-    """The explicit bracket-relation list for the pure monomial braid group.
-
-    Generators are ordered by level: Z_1, then Z_2, A^{(p)}_{1,2}, and so
-    on.  The relation set matches the flats-derived presentation up to row
-    span in degree two (checked in the tests); flat data is attached so the
-    certified rank path applies.
-    """
-    from .arrangements import a_hyp, monomial_flats, monomial_hyperplanes, z_hyp
-
-    hyps = monomial_hyperplanes(r, n)
-    index = {h: i + 1 for i, h in enumerate(hyps)}
-
-    def z(j: int) -> int:
-        return index[z_hyp(j)]
-
-    def a(i: int, j: int, p: int) -> int:
-        return index[a_hyp(i, j, p)]
-
-    def brk(s: int, q: int) -> LieElement:
-        return LieElement(2, dict(_bracket_pair((s,), (q,))))
-
-    rels: list[LieElement] = []
-    for j in range(1, n + 1):
-        for l in range(j + 1, n + 1):
-            members = [z(j), z(l)] + [a(j, l, p) for p in range(1, r + 1)]
-            rels.extend(flat_relations(members)[1:])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                for p in range(1, r + 1):
-                    for m in range(1, r + 1):
-                        q = (p + m - 1) % r + 1
-                        members = [a(i, j, p), a(i, k, q), a(j, k, m)]
-                        rels.extend(flat_relations(members)[1:])
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    for ai in range(len(pairs)):
-        for bi in range(ai + 1, len(pairs)):
-            (i, j), (k, l) = pairs[ai], pairs[bi]
-            if {i, j} & {k, l}:
-                continue
-            for p in range(1, r + 1):
-                for q in range(1, r + 1):
-                    rels.append(brk(a(i, j, p), a(k, l, q)))
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if k in (i, j):
-                    continue
-                for p in range(1, r + 1):
-                    rels.append(brk(z(k), a(i, j, p)))
-
-    flats = monomial_flats(r, n)
-    flat_idx = tuple(tuple(index[h] - 1 for h in f.ids) for f in flats)
-    return HolonomyPresentation(
-        len(hyps),
-        tuple(h.label() for h in hyps),
-        tuple(rels),
-        tuple(h.level for h in hyps),
-        flat_idx,
-    )
-
-
 def lemma_brackets_transform(x_index: int, y_index: int, w_ab: Sequence[int], offset: int = 0) -> LieElement:
     """[x + w-bar, y] from a group relation x^-1 y x = w y w^-1.
 
@@ -388,35 +327,28 @@ def lemma_brackets_transform(x_index: int, y_index: int, w_ab: Sequence[int], of
 def ft_bracket_relations(tower) -> HolonomyPresentation:
     """Holonomy presentation of a fiber-type tower from its monodromy braids.
 
-    For each lower generator x and each nontrivial linking block V of its
-    braid on a higher level, emits [x + sum_{s in V} t_s, t_q] for q in V;
-    strands outside every block commute with x.  Flat data (one flat per
-    block, plus pair flats for untouched strands) is attached for the
-    certified rank path.
+    Each lower generator x and each linking block V of its braid on a higher
+    level form one flat {x} + V, so x + sum_{s in V} t_s commutes with every
+    t_q, q in V; a strand outside every nontrivial block is a pair flat, so
+    it commutes with x.  The flats go through ``holonomy_relations_from_flats``,
+    which attaches them, with the levels, for the certified rank path.
     """
     from .arrangements import assemble_presentation
     from .braid import linking_pairs
 
-    pres = assemble_presentation(tower)
-    gens = pres.generators
+    gens = assemble_presentation(tower).generators
+    position = {g.name: i for i, g in enumerate(gens)}
     offsets: dict[int, int] = {}
-    levels: list[int] = []
-    labels: list[str] = []
-    for g in gens:
-        if g.level not in offsets:
-            offsets[g.level] = len(labels)
-        labels.append(g.name)
-        levels.append(g.level)
-    name_index = {name: i for i, name in enumerate(labels)}
+    for i, g in enumerate(gens):
+        offsets.setdefault(g.level, i)
 
-    rels: list[LieElement] = []
-    flats: list[tuple[int, ...]] = []
+    flats: list[tuple] = []
     for lvl in tower:
         if lvl.level not in offsets and lvl.rank:
             raise LieError("tower level missing from presentation")
         base = offsets[lvl.level]
-        for lower_name, braid in sorted(lvl.braids.items(), key=lambda kv: name_index[kv[0]]):
-            x = name_index[lower_name] + 1
+        for lower_name, braid in sorted(lvl.braids.items(), key=lambda kv: position[kv[0]]):
+            x = gens[position[lower_name]]
             pairs = linking_pairs(braid)
             adj: dict[int, set[int]] = {}
             for (s, t), val in pairs.items():
@@ -433,11 +365,8 @@ def ft_bracket_relations(tower) -> HolonomyPresentation:
                     if adj.get(t, set()) | {t} != block:
                         raise LieError("linking pattern of tower braid is not a block clique")
                 seen |= block
-                flats.append(tuple(sorted([x - 1] + [base + t - 1 for t in block])))
-                rels.extend(flat_relations([x] + [base + t for t in sorted(block)])[1:])
-    return HolonomyPresentation(
-        len(labels), tuple(labels), tuple(rels), tuple(levels), tuple(flats)
-    )
+                flats.append((x,) + tuple(gens[base + t - 1] for t in sorted(block)))
+    return holonomy_relations_from_flats(flats, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +429,7 @@ def graded_ranks(
     if method not in ("auto", "elimination", "tower"):
         raise LieError(f"unknown method {method!r}")
     if method == "auto":
-        too_big = any(
-            witt_rank(pres.d, k) > elimination_limit for k in range(2, max_degree + 1)
-        )
-        if not too_big:
+        if _elimination_reach(pres.d, max_degree, elimination_limit) == max_degree:
             method = "elimination"
         elif pres.levels is not None and pres.flats is not None:
             method = "tower"
@@ -516,6 +442,15 @@ def graded_ranks(
     if method == "elimination":
         return _elimination_ranks(pres, max_degree, elimination_limit)
     return _tower_ranks(pres, max_degree, elimination_limit)
+
+
+def _elimination_reach(d: int, max_degree: int, limit: int) -> int:
+    """How far elimination may run: the largest degree up to max_degree such
+    that every ambient Lyndon dimension from degree 2 through it is <= limit."""
+    for k in range(2, max_degree + 1):
+        if witt_rank(d, k) > limit:
+            return k - 1
+    return max_degree
 
 
 def _word_code(w: tuple[int, ...], d: int) -> int:
@@ -538,13 +473,12 @@ def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) 
     [x_g, b(w)] are coded once per run, in one table per generator g.
     """
     d = pres.d
-    for k in range(2, max_degree + 1):
-        dim = witt_rank(d, k)
-        if dim > limit:
-            raise LieError(
-                f"degree {k} ambient dimension {dim} exceeds the elimination "
-                f"limit {limit}; use the tower method or raise the limit"
-            )
+    reach = _elimination_reach(d, max_degree, limit)
+    if reach < max_degree:
+        raise LieError(
+            f"degree {reach + 1} ambient dimension {witt_rank(d, reach + 1)} exceeds "
+            f"the elimination limit {limit}; use the tower method or raise the limit"
+        )
     word_of: dict[int, tuple[int, ...]] = {}
 
     def coded(items: Iterable) -> dict[int, int]:
@@ -595,11 +529,7 @@ def _tower_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) -> lis
         for k in range(1, max_degree + 1)
     ]
     # internal canary: the elimination oracle must agree wherever it is cheap
-    check_to = max_degree
-    for k in range(2, max_degree + 1):
-        if witt_rank(pres.d, k) > limit:
-            check_to = k - 1
-            break
+    check_to = _elimination_reach(pres.d, max_degree, limit)
     if check_to >= 2:
         elim = _elimination_ranks(pres, check_to, limit)
         if elim != ranks[:check_to]:
@@ -759,78 +689,3 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
                         "certificate fails"
                     )
         delta_cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# reporting helpers
-
-
-def check_lcs_additive(exps: Sequence[int], ranks: Sequence[int]) -> Report:
-    """Compare computed graded ranks against the Witt sums of the exponents."""
-    report = Report(f"lower central series ranks vs exponents {list(exps)}")
-    for k, rank in enumerate(ranks, start=1):
-        expect = sum(witt_rank(d, k) for d in exps)
-        report.add(
-            f"degree {k}",
-            rank == expect,
-            f"rank={rank} expected={expect}",
-        )
-    return report
-
-
-def degree2_torsion_diagnostic(pres: HolonomyPresentation) -> bool:
-    """True if the degree-2 quotient is torsion-free (Smith form diagnostic)."""
-    words = list(lyndon_words(pres.d, 2))
-    rows = [
-        [rel.terms.get(w, 0) for w in words]
-        for rel in pres.relations
-    ]
-    divisors = _smith_invariants(rows, len(words))
-    return all(abs(x) == 1 for x in divisors if x)
-
-
-def _smith_invariants(rows: list[list[int]], ncols: int) -> list[int]:
-    mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return []
-    nrows = len(mat)
-    out = []
-    top = 0
-    left = 0
-    while top < nrows and left < ncols:
-        pr, pc = None, None
-        best = None
-        for i in range(top, nrows):
-            for j in range(left, ncols):
-                v = abs(mat[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if pr is None:
-            break
-        mat[top], mat[pr] = mat[pr], mat[top]
-        for row in mat:
-            row[left], row[pc] = row[pc], row[left]
-        again = True
-        while again:
-            again = False
-            for i in range(top + 1, nrows):
-                if mat[i][left]:
-                    q = mat[i][left] // mat[top][left]
-                    for j in range(left, ncols):
-                        mat[i][j] -= q * mat[top][j]
-                    if mat[i][left]:
-                        mat[top], mat[i] = mat[i], mat[top]
-                        again = True
-            for j in range(left + 1, ncols):
-                if mat[top][j]:
-                    q = mat[top][j] // mat[top][left]
-                    for i in range(top, nrows):
-                        mat[i][j] -= q * mat[i][left]
-                    if mat[top][j]:
-                        for row in mat:
-                            row[left], row[j] = row[j], row[left]
-                        again = True
-        out.append(abs(mat[top][left]))
-        top += 1
-        left += 1
-    return out

@@ -505,7 +505,8 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
                     )
 
     def bracket_chain(i: int, j: int, k: int, q: int) -> list[BraidWord]:
-        return [abr(j, k, r - q + 1)] + [abr(m, k, r - q) for m in range(i + 1, j)]
+        # descending m = j-1 .. i+1, the order of the A^{[1]}_{m,k} factors of D_k
+        return [abr(j, k, r - q + 1)] + [abr(m, k, r - q) for m in range(j - 1, i, -1)]
 
     for p in range(1, r + 1):
         for q in range(1, p):

@@ -19,15 +19,12 @@ from braidforge.liealg import (
     _rank_of_rows,
     _word_code,
     bracket,
-    check_lcs_additive,
-    degree2_torsion_diagnostic,
     ft_bracket_relations,
     generator,
     graded_ranks,
     holonomy_relations_from_flats,
     lemma_brackets_transform,
     lyndon_words,
-    monomial_bracket_relations,
     standard_factorization,
     witt_rank,
 )
@@ -108,23 +105,46 @@ def test_degree_mismatch_raises():
         generator(1) + LieElement(2, {(1, 2): 1})
 
 
+def full_flat_relation(flat, q):
+    """[x_{q_1} + ... + x_{q_m}, x_q], built with the public bracket."""
+    total = LieElement(2, {})
+    for s in flat:
+        total = total + bracket(generator(s), generator(q))
+    return total
+
+
 def test_flat_relation_example():
-    rels = flat_relations([1, 2])
-    # [x_a + x_b, x_a] = [x_b, x_a] and [x_a + x_b, x_b] = [x_a, x_b]
-    assert rels[0].terms == {(1, 2): -1}
-    assert rels[1].terms == {(1, 2): 1}
+    # a pair flat keeps only [x_a + x_b, x_b] = [x_a, x_b]
+    (rel,) = flat_relations([1, 2])
+    assert rel.terms == {(1, 2): 1}
+    # the dropped [x_a + x_b, x_a] = [x_b, x_a] reduces to zero against it
+    _, pivots = _rank_of_rows([dict(rel.terms)])
+    assert not _echelon_insert(pivots, dict(full_flat_relation([1, 2], 1).terms))
+    # a triple flat keeps k = 2, 3: [x_1 + x_2 + x_3, x_2] and [.., x_3]
+    rels = flat_relations([1, 2, 3])
+    assert [rel.terms for rel in rels] == [
+        {(1, 2): 1, (2, 3): -1},
+        {(1, 3): 1, (2, 3): 1},
+    ]
+    assert rels == [full_flat_relation([1, 2, 3], q) for q in (2, 3)]
 
 
 def test_holonomy_from_flats_monomial22():
     hp = holonomy_relations_from_flats(monomial_flats(2, 2), monomial_hyperplanes(2, 2))
     assert hp.d == 4
     assert hp.levels == (1, 2, 2, 2)
-    assert len(hp.relations) == 4
-    # sum of the four relations of the single flat vanishes
-    total = LieElement(2, {})
+    (flat,) = hp.flats
+    assert len(hp.relations) == 3 == len(flat) - 1
+    # the dropped relation of the first member is minus the sum of the kept
+    # three, so it reduces to zero against them
+    dropped = full_flat_relation([g + 1 for g in flat], flat[0] + 1)
+    total = dropped
     for rel in hp.relations:
         total = total + rel
-    assert total.is_zero()
+    assert total.is_zero() and not dropped.is_zero()
+    rank, pivots = _rank_of_rows(dict(rel.terms) for rel in hp.relations)
+    assert rank == 3
+    assert not _echelon_insert(pivots, dict(dropped.terms))
 
 
 def test_braid_arrangement_infinitesimal_relations():
@@ -151,30 +171,19 @@ def test_monomial_rank_equalities(r, n):
     exps = [r * (j - 1) + 1 for j in range(1, n + 1)]
     expect = [sum(witt_rank(d, k) for d in exps) for k in range(1, 6)]
     assert graded_ranks(hp, 5) == expect
-    rep = check_lcs_additive(exps, graded_ranks(hp, 5))
-    assert rep.passed
 
 
 @pytest.mark.parametrize("r,n", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
 def test_explicit_relations_span_equalsflat_relations(r, n):
-    flat_pres = holonomy_relations_from_flats(
-        monomial_flats(r, n), monomial_hyperplanes(r, n)
-    )
-    thm_pres = monomial_bracket_relations(r, n)
-    r1, piv1 = _rank_of_rows(dict(x.terms) for x in flat_pres.relations)
-    r2, piv2 = _rank_of_rows(dict(x.terms) for x in thm_pres.relations)
-    assert r1 == r2
-    for rel in thm_pres.relations:
-        assert not _echelon_insert(dict(piv1), dict(rel.terms))
-    for rel in flat_pres.relations:
-        assert not _echelon_insert(dict(piv2), dict(rel.terms))
-
-
-def test_monomial_bracket_relations_families_present():
-    thm = monomial_bracket_relations(2, 3)
-    # commutators [Z_k, A^{(p)}_{i,j}] with k outside {i,j} appear as plain brackets
-    singles = [rel for rel in thm.relations if len(rel.terms) == 1]
-    assert singles, "expected some plain commutation relations"
+    # the m - 1 relations listed per flat are independent and span all m
+    # relations [x_F, x_q] of every flat, q its first member included
+    hp = holonomy_relations_from_flats(monomial_flats(r, n), monomial_hyperplanes(r, n))
+    rank, pivots = _rank_of_rows(dict(x.terms) for x in hp.relations)
+    assert rank == len(hp.relations) == sum(len(flat) - 1 for flat in hp.flats)
+    for flat in hp.flats:
+        members = [g + 1 for g in flat]
+        for q in members:
+            assert not _echelon_insert(dict(pivots), dict(full_flat_relation(members, q).terms))
 
 
 def test_elimination_agrees_with_tower_where_both_run():
@@ -445,35 +454,16 @@ def test_typeb_equals_monomial_r2_ranks():
     assert tb == mo
 
 
-def test_check_lcs_additive_reports():
-    rep = check_lcs_additive([1, 3], [4, 3, 8])
-    assert rep.passed
-    rep = check_lcs_additive([1, 3], [4, 3, 9])
-    assert not rep.passed
-    assert "degree 3" in rep.failures[0].name
-
-
 def test_check_lcs_degenerate_exponent_one():
     pres = HolonomyPresentation(1, ("x",), ())
     ranks = graded_ranks(pres, 4)
     assert ranks == [1, 0, 0, 0]
-    assert check_lcs_additive([1], ranks).passed
 
 
 def test_monomial_32_degree1_is_hyperplane_count():
     hp = holonomy_relations_from_flats(monomial_flats(3, 2), monomial_hyperplanes(3, 2))
     ranks = graded_ranks(hp, 2)
     assert ranks[0] == 5 == len(monomial_hyperplanes(3, 2))
-
-
-def test_degree2_torsion_diagnostic():
-    hp = holonomy_relations_from_flats(monomial_flats(2, 2), monomial_hyperplanes(2, 2))
-    assert degree2_torsion_diagnostic(hp)
-    hp3 = holonomy_relations_from_flats(monomial_flats(3, 3), monomial_hyperplanes(3, 3))
-    assert degree2_torsion_diagnostic(hp3)
-    # a deliberately torsionful quotient: 2[x1,x2] = 0
-    bad = HolonomyPresentation(2, ("a", "b"), (LieElement(2, {(1, 2): 2}),))
-    assert not degree2_torsion_diagnostic(bad)
 
 
 def test_r2_flats_correspond_to_typeb_tower_flats():
