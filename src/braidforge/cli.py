@@ -16,11 +16,10 @@ from . import arrangements as arr
 from . import liealg
 from . import monomial as mono
 from .braid import (
-    braid_equal,
-    braid_relation_instances,
     braid_to_text,
     linking_numbers,
-    pure_braid_relation_instances,
+    verify_braid_relations,
+    verify_pure_braid_relations,
 )
 from .report import Report
 from .wiring import WiringError, braid_monodromy, parse_wiring, real_line, wiring_from_real_lines
@@ -229,10 +228,9 @@ def _cmd_verify(args, out) -> int:
     if args.what != "purebraid":
         raise CliError(f"unknown verify target {args.what!r}")
     _guard("n", args.n, MAX_N)
-    instances = braid_relation_instances(args.n) + pure_braid_relation_instances(args.n)
     report = Report(f"braid and pure braid relations, n={args.n}")
-    for name, lhs, rhs in instances:
-        report.add(name, braid_equal(lhs, rhs))
+    report.extend(verify_braid_relations(args.n))
+    report.extend(verify_pure_braid_relations(args.n))
     return 0 if _print_report(report, out) else 1
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -112,13 +113,7 @@ def _same_rank(u: Word, v: Word) -> None:
 
 def multiply(u: Word, v: Word) -> Word:
     _same_rank(u, v)
-    out = list(u.letters)
-    for x in v.letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return Word(u.rank, tuple(out))
+    return Word(u.rank, tuple(_reduce_list(u.letters + v.letters)))
 
 
 def invert(u: Word) -> Word:
@@ -191,17 +186,12 @@ def apply(e: Endomorphism, u: Word) -> Word:
     """Image of a word under an endomorphism, fully reduced."""
     if e.rank != u.rank:
         raise WordError(f"rank mismatch: {e.rank} != {u.rank}")
-    out: list[int] = []
-    for x in u.letters:
-        img = e.images[abs(x) - 1].letters
-        if x < 0:
-            img = tuple(-y for y in reversed(img))
-        for y in img:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return Word(u.rank, tuple(out))
+    images = e.images
+    letters = chain.from_iterable(
+        images[x - 1].letters if x > 0 else [-y for y in reversed(images[-x - 1].letters)]
+        for x in u.letters
+    )
+    return Word(u.rank, tuple(_reduce_list(letters)))
 
 
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -243,7 +244,8 @@ class HolonomyPresentation:
 
     ``levels`` assigns each generator its tower level, and ``flats`` lists
     codimension-two flats as tuples of 0-based generator indices; both are
-    needed only by the certified rank path.
+    needed only by the certified rank path.  A flat may not repeat a member,
+    and no pair of generators may lie in two flats.
     """
 
     d: int
@@ -260,6 +262,17 @@ class HolonomyPresentation:
                 raise LieError("holonomy relations must be of degree 2")
         if self.levels is not None and len(self.levels) != self.d:
             raise LieError("level count disagrees with generator count")
+        # a flat is a set, and two hyperplanes span exactly one flat
+        pairs: set[tuple[int, int]] = set()
+        for flat in self.flats or ():
+            for a, b in combinations(sorted(flat), 2):
+                if a == b:
+                    raise LieError(f"flat member {self.labels[a]!r} is repeated")
+                if (a, b) in pairs:
+                    raise LieError(
+                        f"pair {self.labels[a]!r}, {self.labels[b]!r} lies in two flats"
+                    )
+                pairs.add((a, b))
 
 
 def flat_relations(flat: Sequence[int]) -> list[LieElement]:
@@ -573,10 +586,7 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
         for a in flat:
             for b in flat:
                 if a < b and levels[a] != levels[b]:
-                    key = (a, b)
-                    if key in pair_flat:
-                        raise LieError(f"mixed pair {key} lies in two flats")
-                    pair_flat[key] = fi
+                    pair_flat[a, b] = fi
     for a in range(pres.d):
         for b in range(a + 1, pres.d):
             if levels[a] != levels[b] and (a, b) not in pair_flat:

@@ -6,7 +6,8 @@ punctured plane; strand 1 is the orbit of 0 and strands (i-1)r+2 .. ir+1
 form the orbit of the i-th point.  From these we assemble the pure monomial
 braids Z_j, A^{(p)}_{i,j}, X_i and the derived words C, D, Q used in the
 presentation of the pure monomial braid group, and verify every identity
-claimed for them.
+claimed for them.  Each block has one builder, cached per (indices,
+params), and every suite calls the builders directly.
 
 Relations are decided by Garside left normal form (:mod:`braidforge.garside`),
 never through Artin images.  Because the derived words grow quickly under
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .braid import BraidWord, BraidError, empty_braid, linking_pairs, permutation
-from .garside import NormalForm, inverse, normal_form, product
+from . import garside
+from .braid import BraidWord, BraidError, empty_braid, linking_pairs, permutation, product
+from .garside import NormalForm, inverse, normal_form
 from .liealg import _rank_of_rows
 from .report import Report
 
@@ -94,6 +96,14 @@ def tau(i: int, prm: MonomialParams) -> BraidWord:
     return BraidWord(prm.strands, tuple(letters))
 
 
+def _block(name: str, factors: list[BraidWord], prm: MonomialParams) -> BraidWord:
+    """The named product of the factors, left to right; empty when there are none."""
+    return BraidWord(prm.strands, product(factors, prm.strands).letters, name=name)
+
+
+# Every named block below is built once per (indices, params) and then
+# shared: braid words are immutable, and MonomialParams hashes.
+@cache
 def rho(i: int, prm: MonomialParams) -> BraidWord:
     """Monomial braid generator rho_i, 0 <= i <= n-1."""
     r, n = prm.r, prm.n
@@ -105,46 +115,35 @@ def rho(i: int, prm: MonomialParams) -> BraidWord:
     base = (i - 1) * r
     mid = BraidWord(prm.strands, tuple(range(base + 2, base + 2 * r + 1, 2)))
     t = tau(i, prm)
-    out = ~t * mid * t
-    return BraidWord(prm.strands, out.letters, name=f"rho[{i}]")
+    return _block(f"rho[{i}]", [~t, mid, t], prm)
 
 
+@cache
 def X(i: int, prm: MonomialParams) -> BraidWord:
     """X_i = rho_{i-1} ... rho_1 rho_0 rho_1 ... rho_{i-1}, 1 <= i <= n."""
     if not (1 <= i <= prm.n):
         raise BraidError(f"X index {i} out of range for n={prm.n}")
     down = [rho(k, prm) for k in range(i - 1, 0, -1)]
-    up = [rho(k, prm) for k in range(1, i)]
-    out = empty_braid(prm.strands)
-    for b in down:
-        out = out * b
-    out = out * rho(0, prm)
-    for b in up:
-        out = out * b
-    return BraidWord(prm.strands, out.letters, name=f"X[{i}]")
+    return _block(f"X[{i}]", down + [rho(0, prm)] + down[::-1], prm)
 
 
+@cache
 def Z(j: int, prm: MonomialParams) -> BraidWord:
     """Z_j = rho_{j-1} ... rho_1 rho_0^r rho_1^-1 ... rho_{j-1}^-1."""
     if not (1 <= j <= prm.n):
         raise BraidError(f"Z index {j} out of range for n={prm.n}")
-    conj = empty_braid(prm.strands)
-    for k in range(j - 1, 0, -1):
-        conj = conj * rho(k, prm)
-    out = conj * rho(0, prm) ** prm.r * ~conj
-    return BraidWord(prm.strands, out.letters, name=f"Z[{j}]")
+    down = [rho(k, prm) for k in range(j - 1, 0, -1)]
+    up = [~b for b in reversed(down)]
+    return _block(f"Z[{j}]", down + [rho(0, prm) ** prm.r] + up, prm)
 
 
+@cache
 def _A_any_p(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
-    core = empty_braid(prm.strands)
-    for k in range(j - 1, i, -1):
-        core = core * rho(k, prm)
-    core = core * rho(i, prm) ** 2
-    for k in range(i + 1, j):
-        core = core * ~rho(k, prm)
+    down = [rho(k, prm) for k in range(j - 1, i, -1)]
+    up = [~b for b in reversed(down)]
     xi = X(i, prm)
-    out = xi ** (p - prm.r) * core * xi ** (prm.r - p)
-    return BraidWord(prm.strands, out.letters, name=f"A[{i},{j};{p}]")
+    factors = [xi ** (p - prm.r)] + down + [rho(i, prm) ** 2] + up + [xi ** (prm.r - p)]
+    return _block(f"A[{i},{j};{p}]", factors, prm)
 
 
 def A(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
@@ -156,35 +155,51 @@ def A(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
     return _A_any_p(i, j, p, prm)
 
 
+@cache
 def Abracket(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
     """A^{[p]} = A^{(p)} A^{(p+1)} ... A^{(r-1)}, with A^{[r]} = 1."""
     if not (1 <= p <= prm.r):
         raise BraidError(f"A-bracket exponent p={p} out of range for r={prm.r}")
-    out = empty_braid(prm.strands)
-    for q in range(p, prm.r):
-        out = out * A(i, j, q, prm)
-    return BraidWord(prm.strands, out.letters, name=f"Abr[{i},{j};{p}]")
+    return _block(f"Abr[{i},{j};{p}]", [A(i, j, q, prm) for q in range(p, prm.r)], prm)
 
 
+@cache
 def C(l: int, prm: MonomialParams) -> BraidWord:
     """C_l = A^{(r)}_{1,l} A^{(r)}_{2,l} ... A^{(r)}_{l-1,l}; C_1 is empty."""
     if not (1 <= l <= prm.n):
         raise BraidError(f"C index {l} out of range for n={prm.n}")
-    out = empty_braid(prm.strands)
-    for i in range(1, l):
-        out = out * A(i, l, prm.r, prm)
-    return BraidWord(prm.strands, out.letters, name=f"C[{l}]")
+    return _block(f"C[{l}]", [A(i, l, prm.r, prm) for i in range(1, l)], prm)
 
 
+@cache
 def D(k: int, prm: MonomialParams) -> BraidWord:
     """D_k = A^{[1]}_{k-1,k} A^{[1]}_{k-2,k} ... A^{[1]}_{1,k} Z_k C_k."""
     if not (1 <= k <= prm.n):
         raise BraidError(f"D index {k} out of range for n={prm.n}")
-    out = empty_braid(prm.strands)
-    for i in range(k - 1, 0, -1):
-        out = out * Abracket(i, k, 1, prm)
-    out = out * Z(k, prm) * C(k, prm)
-    return BraidWord(prm.strands, out.letters, name=f"D[{k}]")
+    brackets = [Abracket(i, k, 1, prm) for i in range(k - 1, 0, -1)]
+    return _block(f"D[{k}]", brackets + [Z(k, prm), C(k, prm)], prm)
+
+
+@cache
+def lemma_conj_D(k: int, l: int, prm: MonomialParams) -> BraidWord:
+    """Conjugator W_{k,l} for the i=l case: D_k A^{(1)}_{k,k+1} ... A^{(1)}_{k,l-1}.
+
+    For l = k+1 this is D_k itself; the trailing factors carry the twist past
+    the intermediate orbits and are forced by direct computation whenever
+    l - k >= 2.
+    """
+    tail = [A(k, m, 1, prm) for m in range(k + 1, l)]
+    return _block(f"Dext[{k};{l}]", [D(k, prm)] + tail, prm)
+
+
+def _q_factors(j: int, p: int, prm: MonomialParams) -> list[BraidWord]:
+    """The factors C_j, W_{i,j} A^{(q)}_{i,j} W_{i,j}^-1, ... whose product is Q_{j,p}."""
+    factors = [C(j, prm)]
+    for q in range(1, p + 1):
+        for i in range(1, j):
+            w = lemma_conj_D(i, j, prm)
+            factors += [w, A(i, j, q, prm), ~w]
+    return factors
 
 
 def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
@@ -197,14 +212,7 @@ def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
         raise BraidError(f"Q index {j} out of range for n={prm.n}")
     if p < 0 or p > prm.r:
         raise BraidError(f"Q exponent p={p} out of range for r={prm.r}")
-    if j == 1:
-        return empty_braid(prm.strands)
-    out = C(j, prm)
-    for q in range(1, p + 1):
-        for i in range(1, j):
-            d = lemma_conj_D(i, j, prm)
-            out = out * d * A(i, j, q, prm) * ~d
-    return BraidWord(prm.strands, out.letters, name=f"Q[{j},{p}]")
+    return _block(f"Q[{j},{p}]", _q_factors(j, p, prm), prm)
 
 
 class BraidCalculator:
@@ -233,7 +241,7 @@ class BraidCalculator:
 
     def product(self, *factors) -> NormalForm:
         """Normal form of the product of the braid words / normal forms given."""
-        return product(self.strands, [self.form(f) for f in factors])
+        return garside.product(self.strands, [self.form(f) for f in factors])
 
     def inverse(self, b) -> NormalForm:
         return inverse(self.form(b))
@@ -278,19 +286,6 @@ def verify_monomial_relations(prm: MonomialParams, calc: BraidCalculator | None 
     return report
 
 
-def lemma_conj_D(k: int, l: int, prm: MonomialParams) -> BraidWord:
-    """Conjugator for the i=l case: D_k A^{(1)}_{k,k+1} ... A^{(1)}_{k,l-1}.
-
-    For l = k+1 this is D_k itself; the trailing factors carry the twist past
-    the intermediate orbits and are forced by direct computation whenever
-    l - k >= 2.
-    """
-    out = D(k, prm)
-    for m in range(k + 1, l):
-        out = out * A(k, m, 1, prm)
-    return BraidWord(prm.strands, out.letters, name=f"Dext[{k};{l}]")
-
-
 def verify_lemma_conj(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
     """Check the conjugation case table for X_i acting on Z_l and A^{(r)}_{k,l}."""
     if prm.n < 2:
@@ -298,11 +293,8 @@ def verify_lemma_conj(prm: MonomialParams, calc: BraidCalculator | None = None) 
     r = prm.r
     calc = calc or BraidCalculator(prm.strands)
     report = Report(f"conjugation lemma, r={r}, n={prm.n}")
-
-    def a_shift(k: int, l: int, p: int) -> BraidWord:
-        # p = r-1 degenerates to p = 0 at r = 1; the defining formula extends.
-        return _A_any_p(k, l, p, prm)
-
+    # A^{(r-1)} is built by _A_any_p, not A: p = r-1 degenerates to p = 0 at
+    # r = 1, and the defining formula extends.
     for i in range(1, prm.n + 1):
         xi = X(i, prm)
         for l in range(1, prm.n + 1):
@@ -314,7 +306,7 @@ def verify_lemma_conj(prm: MonomialParams, calc: BraidCalculator | None = None) 
                 rhs = calc.conjugated(~C(l, prm), Z(l, prm))
                 case = "l=i"
             else:
-                rhs = calc.conjugated(a_shift(i, l, r - 1), Z(l, prm))
+                rhs = calc.conjugated(_A_any_p(i, l, r - 1, prm), Z(l, prm))
                 case = "l>i"
             report.add(f"X[{i}]^-1 Z[{l}] X[{i}] ({case})", calc.equal(lhs, rhs))
         for k in range(1, prm.n + 1):
@@ -324,10 +316,10 @@ def verify_lemma_conj(prm: MonomialParams, calc: BraidCalculator | None = None) 
                     rhs = calc.form(A(k, l, r, prm))
                     case = "i<k or i>l"
                 elif i == k:
-                    rhs = calc.form(a_shift(k, l, r - 1))
+                    rhs = calc.form(_A_any_p(k, l, r - 1, prm))
                     case = "i=k"
                 elif k < i < l:
-                    rhs = calc.conjugated(a_shift(i, l, r - 1), A(k, l, r, prm))
+                    rhs = calc.conjugated(_A_any_p(i, l, r - 1, prm), A(k, l, r, prm))
                     case = "k<i<l"
                 else:
                     rhs = calc.conjugated(lemma_conj_D(k, l, prm), A(k, l, 1, prm))
@@ -371,66 +363,38 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
     calc = calc or BraidCalculator(prm.strands)
     report = Report(f"pure monomial presentation, r={r}, n={n}")
 
-    zc = {j: Z(j, prm) for j in range(1, n + 1)}
-    ac = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for p in range(1, r + 1):
-                ac[i, j, p] = A(i, j, p, prm)
-    # The other named blocks are built on first use, once per run.
-    abr = cache(lambda i, j, p: Abracket(i, j, p, prm))
-    cc = cache(lambda j: C(j, prm))
-    dc = cache(lambda i: D(i, prm))
-    dext = cache(lambda i, j: lemma_conj_D(i, j, prm))
-
     def conj_factors(conj: list[BraidWord], mid: BraidWord) -> list[BraidWord]:
         return conj + [mid] + [~f for f in reversed(conj)]
-
-    def q_factors(j: int, p: int) -> list[BraidWord]:
-        factors: list[BraidWord] = [cc(j)]
-        for q in range(1, p + 1):
-            for i in range(1, j):
-                d = dext(i, j)
-                factors.extend([d, ac[i, j, q], ~d])
-        return factors
 
     # Z_j .. Z_l family; A^{(p)} is conjugated by Q_{j,r-1-p}, with Q_{j,0} = C_j.
     # The (1,2) instance is checked by direct rotation; the general instance
     # is its conjugate by w = rho_{l-1}..rho_{j+1} nu_j, so it suffices that
     # every element match the w-conjugate of the base element.
     base_elems = (
-        [[zc[1]]]
-        + [[ac[1, 2, p]] for p in range(1, r)]
-        + [[zc[2]], [ac[1, 2, r]]]
+        [[Z(1, prm)]]
+        + [[A(1, 2, p, prm)] for p in range(1, r)]
+        + [[Z(2, prm)], [A(1, 2, r, prm)]]
     )
     _family_holds(calc, base_elems, report, f"[Z1,A..A,Z2,A(1,2;{r})]")
     base_forms = [calc.product(*el) for el in base_elems]
 
-    nus: dict[int, BraidWord] = {}
-    if n >= 3:
-        nus[2] = rho(1, prm) * rho(2, prm)
-    for j in range(3, n):
-        pref = empty_braid(prm.strands)
-        for s in range(1, j + 1):
-            pref = pref * rho(s, prm)
-        nus[j] = pref * nus[j - 1]
+    # nu_j = rho_1 .. rho_j nu_{j-1}, with nu_1 = 1
+    nus = {1: empty_braid(prm.strands)}
+    for j in range(2, n):
+        nus[j] = product([rho(s, prm) for s in range(1, j + 1)] + [nus[j - 1]])
 
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
             if (j, l) == (1, 2):
                 continue
-            w = empty_braid(prm.strands)
-            for s in range(l - 1, j, -1):
-                w = w * rho(s, prm)
-            if j >= 2:
-                w = w * nus[j]
+            w = product([rho(s, prm) for s in range(l - 1, j, -1)] + [nus[j]])
             elems = (
-                [[zc[j]]]
+                [[Z(j, prm)]]
                 + [
-                    conj_factors(q_factors(j, r - 1 - p), ac[j, l, p])
+                    conj_factors(_q_factors(j, r - 1 - p, prm), A(j, l, p, prm))
                     for p in range(1, r)
                 ]
-                + [[zc[l]], [ac[j, l, r]]]
+                + [[Z(l, prm)], [A(j, l, r, prm)]]
             )
             label = f"[Z{j},Q.A..Q,Z{l},A({j},{l};{r})]"
             for s, el in enumerate(elems):
@@ -447,19 +411,19 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
                 for l in range(k + 1, n + 1):
                     report.add(
                         f"[Z{i}, A({k},{l};{p})]",
-                        calc.commute(zc[i], ac[k, l, p]),
+                        calc.commute(Z(i, prm), A(k, l, p, prm)),
                     )
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
-                    zk = calc.conjugated(abr(i, k, p), zc[k])
+                    zk = calc.conjugated(Abracket(i, k, p, prm), Z(k, prm))
                     report.add(
                         f"[A({i},{j};{p}), Abr({i},{k};{p}) Z{k} .]",
-                        calc.commute(ac[i, j, p], zk),
+                        calc.commute(A(i, j, p, prm), zk),
                     )
-                    lhs = calc.conjugated(abr(i, j, p), zc[j])
-                    chain = [ac[s, k, r] for s in range(i + 1, j + 1)]
-                    conjd = calc.conjugated(calc.inverse(calc.product(*chain)), ac[i, k, p])
+                    lhs = calc.conjugated(Abracket(i, j, p, prm), Z(j, prm))
+                    chain = [A(s, k, r, prm) for s in range(i + 1, j + 1)]
+                    conjd = calc.conjugated(calc.inverse(calc.product(*chain)), A(i, k, p, prm))
                     report.add(
                         f"[Abr({i},{j};{p}) Z{j} ., A({i},{k};{p})^(A..A)]",
                         calc.commute(lhs, conjd),
@@ -474,18 +438,18 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
                         for l in range(k + 1, n + 1):
                             report.add(
                                 f"[A({i},{j};{p}), A({k},{l};{q})]",
-                                calc.commute(ac[i, j, p], ac[k, l, q]),
+                                calc.commute(A(i, j, p, prm), A(k, l, q, prm)),
                             )
                             report.add(
                                 f"[A({j},{k};{p}), Abr A({i},{l};{q}) Abr^-1]",
                                 calc.commute(
-                                    ac[j, k, p],
-                                    calc.conjugated(abr(j, l, p), ac[i, l, q]),
+                                    A(j, k, p, prm),
+                                    calc.conjugated(Abracket(j, l, p, prm), A(i, l, q, prm)),
                                 ),
                             )
-                            lhs = calc.conjugated(abr(j, k, p), ac[i, k, q])
+                            lhs = calc.conjugated(Abracket(j, k, p, prm), A(i, k, q, prm))
                             rhs = calc.product(
-                                ~ac[k, l, r], ac[j, l, p], ac[k, l, r]
+                                ~A(k, l, r, prm), A(j, l, p, prm), A(k, l, r, prm)
                             )
                             report.add(
                                 f"[Abr A({i},{k};{q}) Abr^-1, A({j},{l};{p})^A({k},{l};{r})]",
@@ -499,14 +463,15 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
                 for k in range(j + 1, n + 1):
                     _family_holds(
                         calc,
-                        [[ac[i, j, p]], [ac[i, k, p]], [ac[j, k, r]]],
+                        [[A(i, j, p, prm)], [A(i, k, p, prm)], [A(j, k, r, prm)]],
                         report,
                         f"[A({i},{j};{p}), A({i},{k};{p}), A({j},{k};{r})]",
                     )
 
     def bracket_chain(i: int, j: int, k: int, q: int) -> list[BraidWord]:
         # descending m = j-1 .. i+1, the order of the A^{[1]}_{m,k} factors of D_k
-        return [abr(j, k, r - q + 1)] + [abr(m, k, r - q) for m in range(j - 1, i, -1)]
+        lower = [Abracket(m, k, r - q, prm) for m in range(j - 1, i, -1)]
+        return [Abracket(j, k, r - q + 1, prm)] + lower
 
     for p in range(1, r + 1):
         for q in range(1, p):
@@ -514,9 +479,9 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
                         elems = [
-                            [ac[i, j, p]],
-                            [ac[j, k, r - q]],
-                            conj_factors(bracket_chain(i, j, k, q), ac[i, k, p - q]),
+                            [A(i, j, p, prm)],
+                            [A(j, k, r - q, prm)],
+                            conj_factors(bracket_chain(i, j, k, q), A(i, k, p - q, prm)),
                         ]
                         _family_holds(
                             calc,
@@ -530,9 +495,9 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
                         elems = [
-                            conj_factors([dc(i)], ac[i, j, p]),
-                            [ac[j, k, r - q]],
-                            conj_factors(bracket_chain(i, j, k, q), ac[i, k, r - q + p]),
+                            conj_factors([D(i, prm)], A(i, j, p, prm)),
+                            [A(j, k, r - q, prm)],
+                            conj_factors(bracket_chain(i, j, k, q), A(i, k, r - q + p, prm)),
                         ]
                         _family_holds(
                             calc,
@@ -570,26 +535,22 @@ def verify_generators_free_factor(prm: MonomialParams) -> Report:
     """
     r, n = prm.r, prm.n
     report = Report(f"free factor generators, r={r}, n={n}")
-    gens: list[tuple[str, BraidWord]] = [("Z[%d]" % n, Z(n, prm))]
+    # (name, braid, expected linking pairs)
+    block = (1,) + orbit_strands(n, prm)
+    z_pairs = {(a, c) for ai, a in enumerate(block) for c in block[ai + 1:]}
+    gens = [(f"Z[{n}]", Z(n, prm), z_pairs)]
     for i in range(1, n):
         for p in range(1, r + 1):
-            gens.append((f"A[{i},{n};{p}]", A(i, n, p, prm)))
+            gens.append((f"A[{i},{n};{p}]", A(i, n, p, prm), _expected_A_pairs(i, n, p, prm)))
 
     vectors = []
-    for name, b in gens:
+    for name, b, expect_pairs in gens:
         pure = permutation(b).is_identity
         report.add(f"{name} is pure", pure)
         if not pure:
             continue
         pairs = linking_pairs(b)
-        if name.startswith("Z"):
-            block = (1,) + orbit_strands(n, prm)
-            expect = {
-                (a, c): 1 for ai, a in enumerate(block) for c in block[ai + 1:]
-            }
-        else:
-            i, p = _parse_A_name(name)
-            expect = {pr: 1 for pr in _expected_A_pairs(i, n, p, prm)}
+        expect = dict.fromkeys(expect_pairs, 1)
         report.add(f"{name} linking pattern", pairs == expect, f"{pairs}")
         vectors.append(pairs)
 
@@ -600,13 +561,6 @@ def verify_generators_free_factor(prm: MonomialParams) -> Report:
         f"rank={rank}",
     )
     return report
-
-
-def _parse_A_name(name: str) -> tuple[int, int]:
-    inner = name[name.index("[") + 1 : name.index("]")]
-    ij, p = inner.split(";")
-    i, _ = ij.split(",")
-    return int(i), int(p)
 
 
 def verify_pbn_correspondence(prm: MonomialParams) -> Report:

@@ -42,7 +42,3 @@ class Report:
         n_fail = len(self.failures)
         head = self.title or "report"
         return f"{head}: {len(self.checks) - n_fail}/{len(self.checks)} checks passed"
-
-    def lines(self, only_failures: bool = False) -> list[str]:
-        checks = self.failures if only_failures else self.checks
-        return [c.line() for c in checks]

@@ -42,7 +42,6 @@ __all__ = [
     "permutation_braid_mu",
     "upsilon",
     "braid_monodromy",
-    "block_partition_V",
     "verify_twist_shape",
     "wiring_from_real_lines",
     "parse_wiring",
@@ -111,7 +110,14 @@ class WiringDiagram:
 
 @dataclass(frozen=True)
 class MonodromyGenerator:
-    """One braid monodromy generator gamma(u_j) with its block data."""
+    """One braid monodromy generator gamma(u_j) with its block data.
+
+    ``blocks`` partitions [n] by original wire label of the lines meeting at
+    event j: the wire entering the event at position p is the one beta_j
+    carries there, so each block of I(j) is carried back through the strand
+    permutation of beta_j to basepoint labels.  Singleton blocks are kept,
+    so the blocks partition [n].
+    """
 
     index: int
     braid: BraidWord
@@ -145,19 +151,6 @@ def upsilon(I: ConsecutivePartition) -> BraidWord:
     for block in I.blocks:
         out = out * permutation_braid_mu(block, I.n)
     return out
-
-
-def block_partition_V(W: WiringDiagram, j: int) -> tuple[tuple[int, ...], ...]:
-    """Partition of [n] by original wire label of the lines meeting at event j.
-
-    The wire entering event j at position p is the one beta_j carries there,
-    so each block of I(j) transports through the strand permutation of
-    beta_j back to basepoint labels.  Singleton blocks are retained so the
-    result partitions [n].
-    """
-    if not (1 <= j <= W.m):
-        raise WiringError(f"event index {j} out of range")
-    return braid_monodromy(W)[j - 1].blocks
 
 
 def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:

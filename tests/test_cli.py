@@ -168,8 +168,10 @@ def test_lie_flats_file(tmp_path):
         ("gens: a a b\nflat: a b\n", "duplicate hyperplane labels"),
         ("gens: a b\nflat: a c\n", "flat member 'c' is not a known label"),
         ("flat: a\n", "line 1: a flat needs at least two members"),
+        ("flat: a a b\n", "flat member 'a' is repeated"),
+        ("gens: a b c\nflat: a b\nflat: a b c\n", "pair 'a', 'b' lies in two flats"),
     ],
-    ids=["duplicate-gens", "unknown-member", "one-member"],
+    ids=["duplicate-gens", "unknown-member", "one-member", "repeated-member", "pair-in-two-flats"],
 )
 def test_lie_flats_file_errors(tmp_path, text, message):
     flats = tmp_path / "bad.flats"
@@ -269,10 +271,20 @@ def test_deterministic_output():
     assert runs[0] == runs[1]
 
 
+def _golden(name):
+    with open(os.path.join(os.path.dirname(__file__), name), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_monodromy_golden_file():
-    golden = os.path.join(os.path.dirname(__file__), "golden_b2_monodromy.txt")
-    with open(golden, "r", encoding="utf-8") as fh:
-        expected = fh.read()
     code, out = run_cli("monodromy", os.path.join(DATA, "b2.wd"))
     assert code == 0
-    assert out == expected
+    assert out == _golden("golden_b2_monodromy.txt")
+
+
+@pytest.mark.parametrize("suite", ["presentation", "lemma-conj"])
+def test_monomial_suite_golden_file(suite):
+    # pins every check name, its order and its verdict at (3,4)
+    code, out = run_cli("monomial", "--r", "3", "--n", "4", "--verify", suite)
+    assert code == 0
+    assert out == _golden(f"golden_monomial_r3_n4_{suite.replace('-', '_')}.txt")

@@ -9,7 +9,6 @@ from braidforge.braid import braid, braid_equal, empty_braid, full_twist, linkin
 from braidforge.wiring import (
     WiringDiagram,
     WiringError,
-    block_partition_V,
     braid_monodromy,
     parse_wiring,
     partition,
@@ -92,13 +91,13 @@ def test_b2_monodromy_pure_braids():
 
 
 def test_b2_block_partitions():
-    W = b2_diagram()
-    assert block_partition_V(W, 1) == ((1,), (2, 3, 4), (5,))
-    assert block_partition_V(W, 2) == ((1, 4), (2, 5), (3,))
-    assert block_partition_V(W, 3) == ((1, 3, 5), (2,), (4,))
-    assert block_partition_V(W, 4) == ((1, 2), (3,), (4, 5))
-    with pytest.raises(WiringError):
-        block_partition_V(W, 5)
+    blocks = [g.blocks for g in braid_monodromy(b2_diagram())]
+    assert blocks == [
+        ((1,), (2, 3, 4), (5,)),
+        ((1, 4), (2, 5), (3,)),
+        ((1, 3, 5), (2,), (4,)),
+        ((1, 2), (3,), (4, 5)),
+    ]
 
 
 def test_blocks_match_linking():
@@ -228,8 +227,7 @@ def test_monodromy_generators_are_pure_on_random_diagrams(n, data):
     W = WiringDiagram(n, tuple(events))
     for g in braid_monodromy(W):
         assert permutation(g.braid).is_identity
-        blocks = block_partition_V(W, g.index)
-        assert sorted(x for block in blocks for x in block) == list(range(1, n + 1))
+        assert sorted(x for block in g.blocks for x in block) == list(range(1, n + 1))
 
 
 @given(st.data())
