@@ -5,7 +5,9 @@ The type-B arrangement on n coordinates is sliced by a generic line into
 braid generators which this module builds and cross-checks against the
 wiring-diagram computation.  The monomial arrangement's codimension-two
 flats and the iterated semidirect-product presentations of both towers are
-assembled here as well.
+assembled here as well, together with what reads the towers: their holonomy
+presentations and the type-B action table, checked on fiber words and, at
+r = 2, as braid identities among the monomial braids.
 """
 from __future__ import annotations
 
@@ -15,14 +17,23 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import monomial as mono
-from .braid import BraidWord, artin, braid_equal, full_twist, permutation, pure_gen, u_chain
+from .braid import (
+    BraidWord,
+    artin,
+    braid_equal,
+    full_twist,
+    linking_pairs,
+    permutation,
+    pure_gen,
+    u_chain,
+)
 from .freegroup import Word, WordError, invert, multiply, peel_conjugate, reduce as reduce_word
+from .liealg import HolonomyPresentation, holonomy_relations_from_flats
 from .report import Report
 from .wiring import RealLine, braid_monodromy, real_line, wiring_from_real_lines
 
 __all__ = [
     "Hyperplane",
-    "FlatC2",
     "BSym",
     "TowerLevel",
     "Presentation",
@@ -36,8 +47,10 @@ __all__ = [
     "build_monomial_tower",
     "assemble_presentation",
     "format_presentation",
+    "ft_bracket_relations",
     "pbn_table_cells",
     "verify_pbn_table",
+    "verify_pbn_correspondence",
 ]
 
 
@@ -198,17 +211,6 @@ def a_hyp(i: int, j: int, p: int) -> Hyperplane:
     return Hyperplane(i, j, p)
 
 
-@dataclass(frozen=True)
-class FlatC2:
-    """A maximal codimension-two flat, as the hyperplanes containing it."""
-
-    ids: tuple[Hyperplane, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ids) < 2 or len(set(self.ids)) != len(self.ids):
-            raise ArrangementError(f"bad flat {self.ids}")
-
-
 def monomial_hyperplanes(r: int, n: int) -> list[Hyperplane]:
     """All hyperplanes of the monomial arrangement, levels ascending."""
     out: list[Hyperplane] = []
@@ -219,8 +221,8 @@ def monomial_hyperplanes(r: int, n: int) -> list[Hyperplane]:
     return out
 
 
-def monomial_flats(r: int, n: int) -> list[FlatC2]:
-    """Maximal codimension-two flats of the monomial arrangement.
+def monomial_flats(r: int, n: int) -> list[tuple[Hyperplane, ...]]:
+    """Maximal codimension-two flats, each as the hyperplanes containing it.
 
     Each unordered pair of hyperplanes lies in exactly one listed flat;
     the test suite checks this against a brute-force intersection oracle
@@ -228,21 +230,21 @@ def monomial_flats(r: int, n: int) -> list[FlatC2]:
     """
     if r < 1 or n < 2:
         raise ArrangementError("need r >= 1 and n >= 2")
-    flats: list[FlatC2] = []
+    flats: list[tuple[Hyperplane, ...]] = []
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
             big = (z_hyp(j),) + tuple(a_hyp(j, l, p) for p in range(1, r)) + (
                 z_hyp(l),
                 a_hyp(j, l, r),
             )
-            flats.append(FlatC2(big))
+            flats.append(big)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             for m in range(1, n + 1):
                 if m in (k, l):
                     continue
                 for q in range(1, r + 1):
-                    flats.append(FlatC2((z_hyp(m), a_hyp(k, l, q))))
+                    flats.append((z_hyp(m), a_hyp(k, l, q)))
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     for ai in range(len(pairs)):
         for bi in range(ai + 1, len(pairs)):
@@ -251,16 +253,14 @@ def monomial_flats(r: int, n: int) -> list[FlatC2]:
                 continue
             for p in range(1, r + 1):
                 for q in range(1, r + 1):
-                    flats.append(FlatC2((a_hyp(i, j, p), a_hyp(k, l, q))))
+                    flats.append((a_hyp(i, j, p), a_hyp(k, l, q)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for l in range(j + 1, n + 1):
                 for p in range(1, r + 1):
                     for q in range(1, r + 1):
                         m = (p + q - 1) % r + 1
-                        flats.append(
-                            FlatC2((a_hyp(i, j, p), a_hyp(i, l, m), a_hyp(j, l, q)))
-                        )
+                        flats.append((a_hyp(i, j, p), a_hyp(i, l, m), a_hyp(j, l, q)))
     return flats
 
 
@@ -363,6 +363,15 @@ def build_monomial_tower(r: int, n: int) -> list[TowerLevel]:
     return levels
 
 
+def _tower_generators(tower: list[TowerLevel]) -> list[GenInfo]:
+    """Every generator of the tower, level by level, with its position on its level."""
+    return [
+        GenInfo(name, lvl.level, pos)
+        for lvl in tower
+        for pos, name in enumerate(lvl.gen_names, start=1)
+    ]
+
+
 def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
     """Emit the conjugation relations x^-1 y x = eta(x)(y) of the tower.
 
@@ -370,10 +379,7 @@ def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
     right-hand side is the Artin image of t_q under the stored braid for x,
     rewritten over level-j symbols.
     """
-    gens: list[GenInfo] = []
-    for lvl in tower:
-        for pos, name in enumerate(lvl.gen_names, start=1):
-            gens.append(GenInfo(name, lvl.level, pos))
+    gens = _tower_generators(tower)
     relations: list[Relation] = []
     for lvl in tower:
         lower = [g for g in gens if g.level < lvl.level]
@@ -405,6 +411,44 @@ def format_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ft_bracket_relations(tower: list[TowerLevel]) -> HolonomyPresentation:
+    """Holonomy presentation of a fiber-type tower from its monodromy braids.
+
+    Each lower generator x and each linking block V of its braid on a higher
+    level form one flat {x} + V, so x + sum_{s in V} t_s commutes with every
+    t_q, q in V; a strand outside every nontrivial block is a pair flat, so
+    it commutes with x.  The flats go through ``holonomy_relations_from_flats``,
+    which attaches them, with the levels, for the certified rank path.
+    """
+    gens = _tower_generators(tower)
+    position = {g.name: i for i, g in enumerate(gens)}
+    flats: list[tuple[GenInfo, ...]] = []
+    base = 0  # index in gens of the level's first generator
+    for lvl in tower:
+        for lower_name, braid in sorted(lvl.braids.items(), key=lambda kv: position[kv[0]]):
+            x = gens[position[lower_name]]
+            adj: dict[int, set[int]] = {}
+            for (s, t), val in linking_pairs(braid).items():
+                if val != 1:
+                    raise ArrangementError(f"unexpected linking value {val} in tower braid")
+                adj.setdefault(s, set()).add(t)
+                adj.setdefault(t, set()).add(s)
+            seen: set[int] = set()
+            for s in range(1, lvl.rank + 1):
+                if s in seen:
+                    continue
+                block = {s} | adj.get(s, set())
+                for t in block:
+                    if adj.get(t, set()) | {t} != block:
+                        raise ArrangementError(
+                            "linking pattern of tower braid is not a block clique"
+                        )
+                seen |= block
+                flats.append((x,) + tuple(gens[base + t - 1] for t in sorted(block)))
+        base += lvl.rank
+    return holonomy_relations_from_flats(flats, gens)
+
+
 # ---------------------------------------------------------------------------
 # the type-B action table
 
@@ -413,18 +457,16 @@ def format_presentation(pres: Presentation) -> str:
 class TableCell:
     """One cell of the type-B action table: g^-1 y g = K y K^-1.
 
-    ``conjugator`` is K as a list of (symbol, sign) over level-l symbols.
-    Cells whose printed conjugator has no well-formed reading carry
-    ``special=True`` and an optional emendation to test informationally.
+    ``conjugator`` is K as a list of (symbol, sign) over level-l symbols, or
+    None where the printed conjugator has no well-formed reading; such a
+    cell may carry an emendation to test informationally.
     """
 
     name: str
-    j: int
     l: int
     conj: BSym
     target: BSym
     conjugator: tuple[tuple[BSym, int], ...] | None
-    special: bool = False
     emendation: tuple[tuple[BSym, int], ...] | None = None
 
 
@@ -474,7 +516,6 @@ def _table_cell(g: BSym, y: BSym, j: int, l: int) -> TableCell:
     bl = lambda s: [(b_sym(s, l), 1)]
     cl = [(c_sym(l), 1)]
     K: list[tuple[BSym, int]] | None
-    special = False
     emend = None
     if g.kind == "a":
         if y.kind == "a":
@@ -488,7 +529,6 @@ def _table_cell(g: BSym, y: BSym, j: int, l: int) -> TableCell:
             if k == i:
                 # printed conjugator references an unbound index; no reading
                 K = None
-                special = True
             elif k == j:
                 K = bl(j) + _bbar(j, l) + _bhat(i, l) + _inv(_bbar(j, l))
             else:
@@ -530,22 +570,12 @@ def _table_cell(g: BSym, y: BSym, j: int, l: int) -> TableCell:
                 # printed conjugator mixes in the level-j symbol c_j; test
                 # the c_l reading informationally
                 K = None
-                special = True
                 emend = tuple(bl(j) + _bbar(j, l) + cl + al(j) + _inv(_bbar(j, l)))
             else:
                 K = []
         else:
             K = _bhat(j, l) + cl + al(j)
-    return TableCell(
-        name,
-        j,
-        l,
-        g,
-        y,
-        None if K is None else tuple(K),
-        special,
-        emend,
-    )
+    return TableCell(name, l, g, y, None if K is None else tuple(K), emend)
 
 
 def _sym_position(sym: BSym, l: int) -> int:
@@ -580,14 +610,13 @@ def verify_pbn_table(n: int) -> Report:
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     report = Report(f"type-B action table, n={n}")
-    chis: dict[int, dict[BSym, BraidWord]] = {}
+    chis = {l: typeb_monodromy_closed(l - 1) for l in range(2, n + 1)}
     for cell in pbn_table_cells(n):
         l = cell.l
-        chi = chis.setdefault(l - 1, typeb_monodromy_closed(l - 1))
-        eta = artin(chi[cell.conj])
+        eta = artin(chis[l][cell.conj])
         q = _sym_position(cell.target, l)
         computed = eta.images[q - 1]
-        if not cell.special:
+        if cell.conjugator is not None:
             K = _sym_word(cell.conjugator, l)
             expected = multiply(multiply(K, Word(K.rank, (q,))), invert(K))
             report.add(cell.name, computed == expected)
@@ -605,4 +634,40 @@ def verify_pbn_table(n: int) -> Report:
             expected = multiply(multiply(K, Word(K.rank, (q,))), invert(K))
             detail += "; c_l reading %s" % ("matches" if expected == computed else "differs")
         report.add(f"{cell.name} [no literal reading]", True, detail)
+    return report
+
+
+def verify_pbn_correspondence(n: int) -> Report:
+    """Check the type-B action table as braid identities in P(2,n).
+
+    Under a_{i,j} = A^{(2)}_{i,j}, b_{i,j} = A^{(1)}_{i,j}, c_j = Z_j, each
+    literal table cell g^-1 y g = K y K^-1 is tested by normal form.  The
+    two cells without a well-formed literal reading (the q_k conjugator at
+    k=i and the y_k conjugator at k=j) are reported informationally, not as
+    failures.
+    """
+    prm = mono.params(2, n)
+    calc = mono.BraidCalculator(prm.strands)
+
+    def as_braid(sym: BSym) -> BraidWord:
+        kind, i, j = sym
+        if kind == "c":
+            return mono.Z(j, prm)
+        if kind == "a":
+            return mono.A(i, j, 2, prm)
+        return mono.A(i, j, 1, prm)
+
+    report = Report(f"type-B table correspondence, n={n}")
+    for cell in pbn_table_cells(n):
+        g = as_braid(cell.conj)
+        y = as_braid(cell.target)
+        lhs = calc.product(~g, y, g)
+        if cell.conjugator is None:
+            report.add(f"{cell.name} (no literal reading)", True, "computed only")
+            continue
+        conj = calc.product(
+            *[as_braid(sym) if sign > 0 else calc.inverse(as_braid(sym))
+              for sym, sign in cell.conjugator]
+        )
+        report.add(cell.name, lhs == calc.conjugated(conj, y))
     return report

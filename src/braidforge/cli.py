@@ -243,28 +243,23 @@ def _read_file(path: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "tsv"], default="text")
     parser = argparse.ArgumentParser(
         prog="braidforge",
         description="exact braid monodromy, monomial braid groups, holonomy Lie ranks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("monodromy", parents=[common],
-                       help="braid monodromy of a wiring diagram file")
+    p = sub.add_parser("monodromy", help="braid monodromy of a wiring diagram file")
     p.add_argument("wiring_file")
 
-    p = sub.add_parser("lines", parents=[common],
-                       help="braid monodromy of a real-line arrangement file")
+    p = sub.add_parser("lines", help="braid monodromy of a real-line arrangement file")
     p.add_argument("lines_file")
 
-    p = sub.add_parser("typeb", parents=[common], help="type-B closed-form monodromy")
+    p = sub.add_parser("typeb", help="type-B closed-form monodromy")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("monomial", parents=[common],
-                       help="monomial braid verification suites")
+    p = sub.add_parser("monomial", help="monomial braid verification suites")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
@@ -273,22 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["relations", "lemma-conj", "presentation", "generators"],
     )
 
-    p = sub.add_parser("present", parents=[common], help="emit a tower presentation")
+    p = sub.add_parser("present", help="emit a tower presentation")
     psub = p.add_subparsers(dest="what", required=True)
-    pt = psub.add_parser("typeb", parents=[common])
+    pt = psub.add_parser("typeb")
     pt.add_argument("--n", type=int, required=True)
-    pm = psub.add_parser("monomial", parents=[common])
+    pm = psub.add_parser("monomial")
     pm.add_argument("--r", type=int, required=True)
     pm.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("lie", parents=[common],
-                       help="graded rank table with Witt comparison")
+    p = sub.add_parser("lie", help="graded rank table with Witt comparison")
     p.add_argument("--exponents")
     p.add_argument("--monomial")
     p.add_argument("--flats")
     p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--format", choices=["text", "tsv"], default="text")
 
-    p = sub.add_parser("verify", parents=[common], help="relation suites")
+    p = sub.add_parser("verify", help="relation suites")
     p.add_argument("what", choices=["purebraid"])
     p.add_argument("--n", type=int, required=True)
     return parser

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "generator",
     "flat_relations",
     "holonomy_relations_from_flats",
-    "ft_bracket_relations",
     "lemma_brackets_transform",
     "graded_ranks",
 ]
@@ -294,11 +294,10 @@ def holonomy_relations_from_flats(flats, labels) -> HolonomyPresentation:
     """Holonomy presentation of an arrangement from its maximal flats.
 
     This is the one constructor of flats presentations.  ``labels`` fixes
-    the generator order and must be distinct; each flat, given as labels or
-    as an object with an ``ids`` tuple of labels, contributes its
-    ``flat_relations``.  Generator names come from ``label()`` where the
-    labels have it, and level data is attached when they all expose a
-    ``level`` attribute.
+    the generator order and must be distinct; each flat, a sequence of
+    labels, contributes its ``flat_relations``.  Generator names come from
+    ``label()`` where the labels have it, and level data is attached when
+    they all expose a ``level`` attribute.
     """
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
@@ -306,9 +305,8 @@ def holonomy_relations_from_flats(flats, labels) -> HolonomyPresentation:
     rels: list[LieElement] = []
     flat_indices: list[tuple[int, ...]] = []
     for flat in flats:
-        ids = getattr(flat, "ids", flat)
         try:
-            idx = tuple(index[h] for h in ids)
+            idx = tuple(index[h] for h in flat)
         except KeyError as exc:
             raise LieError(f"flat member {exc.args[0]!r} is not a known label") from exc
         flat_indices.append(idx)
@@ -337,51 +335,6 @@ def lemma_brackets_transform(x_index: int, y_index: int, w_ab: Sequence[int], of
     return LieElement(2, terms)
 
 
-def ft_bracket_relations(tower) -> HolonomyPresentation:
-    """Holonomy presentation of a fiber-type tower from its monodromy braids.
-
-    Each lower generator x and each linking block V of its braid on a higher
-    level form one flat {x} + V, so x + sum_{s in V} t_s commutes with every
-    t_q, q in V; a strand outside every nontrivial block is a pair flat, so
-    it commutes with x.  The flats go through ``holonomy_relations_from_flats``,
-    which attaches them, with the levels, for the certified rank path.
-    """
-    from .arrangements import assemble_presentation
-    from .braid import linking_pairs
-
-    gens = assemble_presentation(tower).generators
-    position = {g.name: i for i, g in enumerate(gens)}
-    offsets: dict[int, int] = {}
-    for i, g in enumerate(gens):
-        offsets.setdefault(g.level, i)
-
-    flats: list[tuple] = []
-    for lvl in tower:
-        if lvl.level not in offsets and lvl.rank:
-            raise LieError("tower level missing from presentation")
-        base = offsets[lvl.level]
-        for lower_name, braid in sorted(lvl.braids.items(), key=lambda kv: position[kv[0]]):
-            x = gens[position[lower_name]]
-            pairs = linking_pairs(braid)
-            adj: dict[int, set[int]] = {}
-            for (s, t), val in pairs.items():
-                if val != 1:
-                    raise LieError(f"unexpected linking value {val} in tower braid")
-                adj.setdefault(s, set()).add(t)
-                adj.setdefault(t, set()).add(s)
-            seen: set[int] = set()
-            for s in range(1, lvl.rank + 1):
-                if s in seen:
-                    continue
-                block = {s} | adj.get(s, set())
-                for t in block:
-                    if adj.get(t, set()) | {t} != block:
-                        raise LieError("linking pattern of tower braid is not a block clique")
-                seen |= block
-                flats.append((x,) + tuple(gens[base + t - 1] for t in sorted(block)))
-    return holonomy_relations_from_flats(flats, gens)
-
-
 # ---------------------------------------------------------------------------
 # exact sparse echelon over the rationals (integer rows, gcd-normalized)
 
@@ -393,8 +346,6 @@ def _echelon_insert(pivots: dict[tuple[int, ...], dict], row: dict) -> bool:
     the installed pivot, so callers pass a fresh dict.  Installed pivot rows
     are never changed.
     """
-    from math import gcd
-
     while row:
         lead = min(row)
         piv = pivots.get(lead)

@@ -11,7 +11,7 @@ params), and every suite calls the builders directly.
 
 Relations are decided by Garside left normal form (:mod:`braidforge.garside`),
 never through Artin images.  Because the derived words grow quickly under
-conjugation, the verifiers share a :class:`BraidCalculator` that caches the
+conjugation, each verifier builds a :class:`BraidCalculator` that caches the
 normal form of every named block and multiplies normal forms instead of
 re-scanning long letter sequences.
 """
@@ -45,7 +45,6 @@ __all__ = [
     "verify_lemma_conj",
     "verify_presentation",
     "verify_generators_free_factor",
-    "verify_pbn_correspondence",
 ]
 
 
@@ -277,21 +276,21 @@ def monomial_relation_instances(prm: MonomialParams) -> list[tuple[str, BraidWor
     return out
 
 
-def verify_monomial_relations(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
+def verify_monomial_relations(prm: MonomialParams) -> Report:
     """Check the defining relations among rho_0, ..., rho_{n-1}."""
-    calc = calc or BraidCalculator(prm.strands)
+    calc = BraidCalculator(prm.strands)
     report = Report(f"monomial braid relations, r={prm.r}, n={prm.n}")
     for name, lhs, rhs in monomial_relation_instances(prm):
         report.add(name, calc.equal(lhs, rhs))
     return report
 
 
-def verify_lemma_conj(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
+def verify_lemma_conj(prm: MonomialParams) -> Report:
     """Check the conjugation case table for X_i acting on Z_l and A^{(r)}_{k,l}."""
     if prm.n < 2:
         raise BraidError("need n >= 2")
     r = prm.r
-    calc = calc or BraidCalculator(prm.strands)
+    calc = BraidCalculator(prm.strands)
     report = Report(f"conjugation lemma, r={r}, n={prm.n}")
     # A^{(r-1)} is built by _A_any_p, not A: p = r-1 degenerates to p = 0 at
     # r = 1, and the defining formula extends.
@@ -347,7 +346,7 @@ def _family_holds(calc: BraidCalculator, elements, report: Report, label: str) -
         report.add(f"{label} rotation {k+1}", calc.commute(prod, e))
 
 
-def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None) -> Report:
+def verify_presentation(prm: MonomialParams) -> Report:
     """Check every defining relation family of the pure monomial braid group.
 
     Families are expanded exhaustively over their index ranges, with the
@@ -360,7 +359,7 @@ def verify_presentation(prm: MonomialParams, calc: BraidCalculator | None = None
     if prm.n < 2:
         raise BraidError("need n >= 2")
     r, n = prm.r, prm.n
-    calc = calc or BraidCalculator(prm.strands)
+    calc = BraidCalculator(prm.strands)
     report = Report(f"pure monomial presentation, r={r}, n={n}")
 
     def conj_factors(conj: list[BraidWord], mid: BraidWord) -> list[BraidWord]:
@@ -560,44 +559,4 @@ def verify_generators_free_factor(prm: MonomialParams) -> Report:
         rank == len(gens),
         f"rank={rank}",
     )
-    return report
-
-
-def verify_pbn_correspondence(prm: MonomialParams) -> Report:
-    """At r = 2, check the type-B action table as braid identities in P(2,n).
-
-    Under a_{i,j} = A^{(2)}_{i,j}, b_{i,j} = A^{(1)}_{i,j}, c_j = Z_j, each
-    literal table cell g^-1 y g = K y K^-1 is tested by normal form.  The
-    two cells without a well-formed literal reading (the q_k conjugator at
-    k=i and the y_k conjugator at k=j) are reported informationally, not as
-    failures.
-    """
-    if prm.r != 2:
-        raise BraidError("the type-B correspondence table is specific to r=2")
-    from .arrangements import pbn_table_cells  # deferred: avoids module cycle
-
-    n = prm.n
-    calc = BraidCalculator(prm.strands)
-
-    def as_braid(sym) -> BraidWord:
-        kind, i, j = sym
-        if kind == "c":
-            return Z(j, prm)
-        if kind == "a":
-            return A(i, j, 2, prm)
-        return A(i, j, 1, prm)
-
-    report = Report(f"type-B table correspondence, n={n}")
-    for cell in pbn_table_cells(n):
-        g = as_braid(cell.conj)
-        y = as_braid(cell.target)
-        lhs = calc.product(~g, y, g)
-        if cell.special:
-            report.add(f"{cell.name} (no literal reading)", True, "computed only")
-            continue
-        conj = calc.product(
-            *[as_braid(sym) if sign > 0 else calc.inverse(as_braid(sym))
-              for sym, sign in cell.conjugator]
-        )
-        report.add(cell.name, lhs == calc.conjugated(conj, y))
     return report

@@ -194,7 +194,7 @@ def test_criterion_8_lie_rank_equalities():
 def test_criterion_9_r2_correspondence_table():
     with _Budget(9, "type-B action table under a=A(2), b=A(1), c=Z, n=2,3", 60.0):
         for n in (2, 3):
-            rep = mono.verify_pbn_correspondence(mono.params(2, n))
+            rep = arr.verify_pbn_correspondence(n)
             assert rep.passed, rep.failures
             # the only non-checked cells are the two flagged conjugators,
             # reported informationally

@@ -214,14 +214,14 @@ def brute_force_flats(r, n):
 
 @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_monomial_flats_against_brute_force(r, n):
-    ours = {frozenset(f.ids) for f in monomial_flats(r, n)}
+    ours = {frozenset(f) for f in monomial_flats(r, n)}
     assert ours == brute_force_flats(r, n)
 
 
 def test_monomial_flats_r2_n2_single_flat():
     flats = monomial_flats(2, 2)
     assert len(flats) == 1
-    assert flats[0].ids == (z_hyp(1), a_hyp(1, 2, 1), z_hyp(2), a_hyp(1, 2, 2))
+    assert flats[0] == (z_hyp(1), a_hyp(1, 2, 1), z_hyp(2), a_hyp(1, 2, 2))
 
 
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 4), (2, 4)])
@@ -229,7 +229,7 @@ def test_every_pair_in_exactly_one_flat(r, n):
     flats = monomial_flats(r, n)
     seen = {}
     for f in flats:
-        for pair in combinations(sorted(f.ids), 2):
+        for pair in combinations(sorted(f), 2):
             assert pair not in seen, f"pair {pair} in two flats"
             seen[pair] = f
     hyps = monomial_hyperplanes(r, n)
@@ -240,9 +240,9 @@ def test_r2_flats_match_typeb_shape():
     # under a=A^{(2)}, b=A^{(1)}, c=Z the r=2 flats mirror the type-B wiring
     # blocks: one big flat per (j,l) and triples matching double points
     flats = monomial_flats(2, 2)
-    assert {len(f.ids) for f in flats} == {4}
+    assert {len(f) for f in flats} == {4}
     flats3 = monomial_flats(2, 3)
-    sizes = sorted(len(f.ids) for f in flats3)
+    sizes = sorted(len(f) for f in flats3)
     assert sizes == [2] * 6 + [3] * 4 + [4] * 3
 
 

@@ -152,6 +152,12 @@ def test_lie_monomial_tsv():
     ]
 
 
+def test_format_is_an_option_of_lie_alone():
+    # only the lie rank table has a tsv form; other commands reject the flag
+    code, _ = run_cli("monodromy", os.path.join(DATA, "b2.wd"), "--format", "tsv")
+    assert code == 2
+
+
 def test_lie_flats_file(tmp_path):
     flats = tmp_path / "triple.flats"
     flats.write_text("gens: a b c\nflat: a b c\n")

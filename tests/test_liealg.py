@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from braidforge.arrangements import (
     build_typeb_tower,
+    ft_bracket_relations,
     monomial_flats,
     monomial_hyperplanes,
 )
@@ -19,7 +20,6 @@ from braidforge.liealg import (
     _rank_of_rows,
     _word_code,
     bracket,
-    ft_bracket_relations,
     generator,
     graded_ranks,
     holonomy_relations_from_flats,

@@ -1,5 +1,6 @@
 import pytest
 
+from braidforge.arrangements import verify_pbn_correspondence
 from braidforge.braid import braid_equal, linking_pairs, permutation
 from braidforge.monomial import (
     A,
@@ -19,7 +20,6 @@ from braidforge.monomial import (
     verify_generators_free_factor,
     verify_lemma_conj,
     verify_monomial_relations,
-    verify_pbn_correspondence,
     verify_presentation,
 )
 from braidforge.braid import BraidError
@@ -156,45 +156,12 @@ def test_presentation_zaza_base_product_is_central_power():
     # Z_1 A^{(1)} .. A^{(r-1)} Z_2 A^{(r)} = (rho_0 rho_1)^{2r}
     for r in (1, 2, 3):
         prm = params(r, 2)
-        calc = BraidCalculator(prm.strands)
         prod = Z(1, prm)
         for p in range(1, r):
             prod = prod * A(1, 2, p, prm)
         prod = prod * Z(2, prm) * A(1, 2, r, prm)
         power = (rho(0, prm) * rho(1, prm)) ** (2 * r)
         assert braid_equal(prod, power)
-
-
-def test_r1_degeneration_recovers_classical_pure_braid_relations():
-    # the A^{(r)} braids satisfy the classical relations verbatim
-    prm = params(1, 4)
-    calc = BraidCalculator(prm.strands)
-
-    def as_orbit_gen(i, j):
-        # classical A_{i,j} of the orbit strands is A^{(1)}_{i,j} at r=1
-        return A(i, j, 1, prm)
-
-    for j in range(2, 5):
-        for i in range(1, j):
-            for l in range(j + 1, 5):
-                for k in range(1, l):
-                    conj = as_orbit_gen(i, j)
-                    lhs = calc.product(~conj, as_orbit_gen(k, l), conj)
-                    if k == i or k == j:
-                        c = calc.product(as_orbit_gen(i, l), as_orbit_gen(j, l))
-                        rhs = calc.product(
-                            c,
-                            as_orbit_gen(k, l),
-                            calc.product(~as_orbit_gen(j, l), ~as_orbit_gen(i, l)),
-                        )
-                    elif i < k < j:
-                        ail, ajl = as_orbit_gen(i, l), as_orbit_gen(j, l)
-                        c = calc.product(ail, ajl, ~ail, ~ajl)
-                        ci = calc.product(ajl, ail, ~ajl, ~ail)
-                        rhs = calc.product(c, as_orbit_gen(k, l), ci)
-                    else:
-                        rhs = calc.form(as_orbit_gen(k, l))
-                    assert lhs == rhs, (i, j, k, l)
 
 
 @pytest.mark.parametrize("r,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -205,7 +172,7 @@ def test_generators_free_factor(r, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pbn_correspondence_r2(n):
-    rep = verify_pbn_correspondence(params(2, n))
+    rep = verify_pbn_correspondence(n)
     assert rep.passed, rep.failures
     # the two conjugator cells without a literal reading are informational
     specials = [c for c in rep.checks if "no literal reading" in c.name]
@@ -213,12 +180,7 @@ def test_pbn_correspondence_r2(n):
         assert c.ok
 
 
-def test_pbn_correspondence_requires_r2():
-    with pytest.raises(BraidError):
-        verify_pbn_correspondence(params(3, 2))
-
-
-@pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 4), (3, 3)])
 def test_top_index_braids_satisfy_classical_relations(r, n):
     # the A^{(r)} family satisfies the classical pure braid relations verbatim
     prm = params(r, n)
