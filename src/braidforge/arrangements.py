@@ -610,10 +610,15 @@ def verify_pbn_table(n: int) -> Report:
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     report = Report(f"type-B action table, n={n}")
-    chis = {l: typeb_monodromy_closed(l - 1) for l in range(2, n + 1)}
+    # every level-l cell conjugates by a meridian of chi_{l-1}: one Artin
+    # image per meridian serves all the cells it conjugates
+    etas = {
+        l: {g: artin(braid) for g, braid in typeb_monodromy_closed(l - 1).items()}
+        for l in range(2, n + 1)
+    }
     for cell in pbn_table_cells(n):
         l = cell.l
-        eta = artin(chis[l][cell.conj])
+        eta = etas[l][cell.conj]
         q = _sym_position(cell.target, l)
         computed = eta.images[q - 1]
         if cell.conjugator is not None:
@@ -646,6 +651,8 @@ def verify_pbn_correspondence(n: int) -> Report:
     k=i and the y_k conjugator at k=j) are reported informationally, not as
     failures.
     """
+    if not (2 <= n):
+        raise ArrangementError("need n >= 2")
     prm = mono.params(2, n)
     calc = mono.BraidCalculator(prm.strands)
 

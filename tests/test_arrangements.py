@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,11 +22,12 @@ from braidforge.arrangements import (
     typeb_meridian_symbols,
     typeb_monodromy_closed,
     typeb_wiring_cross_check,
+    verify_pbn_correspondence,
     verify_pbn_table,
     z_hyp,
     TowerLevel,
 )
-from braidforge.braid import braid_equal, empty_braid, full_twist, pure_gen, u_chain
+from braidforge.braid import artin, braid_equal, empty_braid, full_twist, pure_gen, u_chain
 from braidforge.freegroup import Endomorphism, abelianize, invert, multiply, word
 from braidforge.wiring import wiring_from_real_lines
 
@@ -328,6 +330,41 @@ def test_pbn_table_rejects_a_non_conjugate_image(monkeypatch):
     monkeypatch.setattr(arrangements, "artin", squares)
     with pytest.raises(ArrangementError, match="not a conjugate"):
         verify_pbn_table(2)
+
+
+# sha256 prefix of the "name, ok, detail" lines of verify_pbn_table(n), as
+# printed before the Artin images were shared between cells
+PBN_TABLE_DIGESTS = {
+    2: "b0c5f649f01ee3e9",
+    3: "62a11ca9b64d5198",
+    4: "d009f1fa87ead674",
+    5: "b4431f2e2392fe8c",
+    6: "ab25d57aed0dbb82",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PBN_TABLE_DIGESTS))
+def test_pbn_table_builds_one_artin_image_per_conjugator(n, monkeypatch):
+    import braidforge.arrangements as arrangements
+
+    calls = []
+
+    def counting(b):
+        calls.append(b)
+        return artin(b)
+
+    monkeypatch.setattr(arrangements, "artin", counting)
+    rep = verify_pbn_table(n)
+    conjugators = {(cell.l, cell.conj) for cell in pbn_table_cells(n)}
+    assert len(calls) == len(conjugators) < len(rep.checks)
+    text = "\n".join(f"{c.name}\t{c.ok}\t{c.detail}" for c in rep.checks)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PBN_TABLE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("verify", [verify_pbn_table, verify_pbn_correspondence])
+def test_pbn_checks_need_two_levels(verify):
+    with pytest.raises(ArrangementError, match="need n >= 2"):
+        verify(1)
 
 
 def test_pbn_cells_cover_expected_count():

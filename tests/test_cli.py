@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from braidforge.cli import run
+from braidforge.liealg import witt_rank
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -149,6 +150,18 @@ def test_lie_monomial_tsv():
         ["3", "8", "8", "yes"],
         ["4", "18", "18", "yes"],
         ["5", "48", "48", "yes"],
+    ]
+
+
+def test_lie_monomial_at_the_guard():
+    # (6,6) is the CLI guard; degree 8 is far past elimination, so the
+    # ranks come from the certified tower path
+    code, out = run_cli("lie", "--monomial", "6,6", "--max-degree", "8")
+    assert code == 0
+    exps = [6 * (j - 1) + 1 for j in range(1, 7)]
+    rows = [line.split() for line in out.strip().splitlines()[1:]]
+    assert [int(row[1]) for row in rows] == [
+        sum(witt_rank(d, k) for d in exps) for k in range(1, 9)
     ]
 
 

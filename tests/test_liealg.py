@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidforge.arrangements import (
@@ -253,6 +254,100 @@ def test_tower_certificate_checks_every_top_level_generator():
     assert graded_ranks(bad, 3, method="elimination") != witt
     with pytest.raises(LieError, match="acts nontrivially on level 3"):
         graded_ranks(bad, 3, method="tower")
+
+
+@st.composite
+def tower_structures(draw):
+    """Levels 1..3 of at most 2, 3, 4 generators; each lower generator x cuts
+    each higher level into blocks B, and each block gives the flat {x} + B.
+
+    A block is split where it would put a same-level pair into a second
+    flat, since two generators span exactly one flat.
+    """
+    sizes = [draw(st.integers(1, lv + 1)) for lv in range(1, draw(st.integers(1, 3)) + 1)]
+    levels = tuple(lv for lv, size in enumerate(sizes, start=1) for _ in range(size))
+    flats = []
+    for lv in range(2, len(sizes) + 1):
+        members = [g for g, level in enumerate(levels) if level == lv]
+        used = set()
+        for x in (g for g, level in enumerate(levels) if level < lv):
+            labels = draw(st.lists(
+                st.integers(0, len(members) - 1), min_size=len(members), max_size=len(members)
+            ))
+            blocks = {}
+            for y, label in zip(members, labels):
+                parts = blocks.setdefault(label, [])
+                home = next((b for b in parts if all((z, y) not in used for z in b)), None)
+                if home is None:
+                    parts.append([y])
+                else:
+                    home.append(y)
+            for block in (b for parts in blocks.values() for b in parts):
+                used.update(combinations(block, 2))
+                flats.append((x, *block))
+    rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
+    labels = tuple(f"g{g}" for g in range(len(levels)))
+    return HolonomyPresentation(len(levels), labels, rels, levels, tuple(flats))
+
+
+def scaled(x, c):
+    return LieElement(x.degree, {w: c * v for w, v in x.terms.items()})
+
+
+def lower_relation_moves_a_level(pres):
+    """True when some relation below a level acts on it nontrivially.
+
+    Each lower generator x acts on a level by the derivation with
+    D_x y = [y, sum of the level's members of the flat through x and y];
+    sum c (D_a D_b - D_b D_a) y is expanded in degree 3 with ``bracket``.
+    """
+    levels, flats = pres.levels, pres.flats
+    members = {lv: [g for g, level in enumerate(levels) if level == lv] for lv in set(levels)}
+
+    def on_letter(x, lv, u):
+        y = members[lv][u - 1]
+        flat = next(f for f in flats if x in f and y in f)
+        s = LieElement(1, {(members[lv].index(z) + 1,): 1 for z in flat if levels[z] == lv})
+        return bracket(generator(u), s)
+
+    def act(x, lv, element):
+        out = LieElement(element.degree + 1)
+        for w, c in element.terms.items():
+            if len(w) == 1:
+                out += scaled(on_letter(x, lv, w[0]), c)
+            else:
+                u, v = w
+                out += scaled(bracket(on_letter(x, lv, u), generator(v)), c)
+                out += scaled(bracket(generator(u), on_letter(x, lv, v)), c)
+        return out
+
+    for lv in sorted(members)[1:]:
+        for rel in pres.relations:
+            if max(levels[g - 1] for w in rel.terms for g in w) >= lv:
+                continue
+            for u in range(1, len(members[lv]) + 1):
+                y, image = generator(u), LieElement(3)
+                for (a, b), c in rel.terms.items():
+                    comm = act(a - 1, lv, act(b - 1, lv, y)) - act(b - 1, lv, act(a - 1, lv, y))
+                    image += scaled(comm, c)
+                if not image.is_zero():
+                    return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_structures())
+def test_tower_lower_level_check_matches_degree_three_oracle(pres):
+    if lower_relation_moves_a_level(pres):
+        with pytest.raises(LieError, match="acts nontrivially"):
+            graded_ranks(pres, 3, method="tower")
+        return
+    witt = [
+        sum(witt_rank(pres.levels.count(lv), k) for lv in set(pres.levels))
+        for k in range(1, 4)
+    ]
+    assert graded_ranks(pres, 3, method="tower") == witt
+    assert graded_ranks(pres, 3, method="elimination") == witt
 
 
 def fraction_rank(rows, cols):
