@@ -1,10 +1,10 @@
 """Free Lie algebras on Lyndon bases and holonomy Lie algebra ranks.
 
 Everything is exact over the integers/rationals.  Elements are integer
-combinations of Lyndon words with their standard bracketings; rewriting an
-arbitrary bracket into the basis goes through the free associative algebra,
-using the triangularity of Lyndon polynomials (the lex-least word of the
-expansion of b(w) is w itself, with coefficient one).
+combinations of Lyndon words with their standard bracketings; a bracket of
+two basis elements is rewritten in the basis itself, by the standard
+factorization and Jacobi, without expanding into the free associative
+algebra.
 
 Graded ranks of a holonomy presentation (free Lie algebra modulo
 degree-two relations) are computed two ways:
@@ -45,7 +45,6 @@ __all__ = [
     "generator",
     "flat_relations",
     "holonomy_relations_from_flats",
-    "lemma_brackets_transform",
     "graded_ranks",
 ]
 
@@ -107,10 +106,6 @@ def lyndon_words(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _is_lyndon(w: tuple[int, ...]) -> bool:
-    return all(w < w[s:] + w[:s] for s in range(1, len(w)))
-
-
 @lru_cache(maxsize=None)
 def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a Lyndon word of length >= 2 as (u, v) with v its least proper suffix."""
@@ -135,47 +130,31 @@ def _accumulate(acc: dict, items: Iterable, scale: int = 1) -> dict:
     return acc
 
 
-def _commutator_poly(P: dict, Q: dict) -> dict:
-    """The associative commutator PQ - QP of two noncommutative polynomials."""
-    out: dict[tuple[int, ...], int] = {}
-    for u, cu in P.items():
-        for v, cv in Q.items():
-            _accumulate(out, ((u + v, cu * cv), (v + u, -cu * cv)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _lyndon_poly(w: tuple[int, ...]) -> dict:
-    """Associative expansion of the standard bracketing of a Lyndon word."""
-    if len(w) == 1:
-        return {w: 1}
-    u, v = standard_factorization(w)
-    return _commutator_poly(_lyndon_poly(u), _lyndon_poly(v))
-
-
-def _assoc_to_lyndon(P: dict) -> dict[tuple[int, ...], int]:
-    """Coordinates of a Lie polynomial, by triangular extraction."""
-    P = dict(P)
-    out: dict[tuple[int, ...], int] = {}
-    while P:
-        w = min(P)
-        if not _is_lyndon(w):
-            raise LieError(f"not a Lie element: leading word {w} is not Lyndon")
-        c = P[w]
-        out[w] = c
-        _accumulate(P, _lyndon_poly(w).items(), -c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _bracket_pair(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """[b(u), b(v)] in Lyndon coordinates, as a hashable item tuple."""
+    """[b(u), b(v)] in Lyndon coordinates, as a hashable item tuple.
+
+    For Lyndon words u < v, uv is Lyndon with standard factorization (u, v)
+    when u is a letter or the right factor u2 of u = (u1, u2) has u2 >= v,
+    so the bracket is the single basis element b(uv).  Otherwise Jacobi,
+    [[b(u1), b(u2)], b(v)] = [b(u1), [b(u2), b(v)]] + [[b(u1), b(v)], b(u2)],
+    rewrites it through this cache (Reutenauer, Free Lie Algebras, ch. 5).
+    """
     if u == v:
         return ()
     if v < u:
         return tuple((w, -c) for w, c in _bracket_pair(v, u))
-    prod = _commutator_poly(_lyndon_poly(u), _lyndon_poly(v))
-    return tuple(sorted(_assoc_to_lyndon(prod).items()))
+    if len(u) == 1:
+        return ((u + v, 1),)
+    u1, u2 = standard_factorization(u)
+    if u2 >= v:
+        return ((u + v, 1),)
+    terms: dict[tuple[int, ...], int] = {}
+    for w, c in _bracket_pair(u2, v):
+        _accumulate(terms, _bracket_pair(u1, w), c)
+    for w, c in _bracket_pair(u1, v):
+        _accumulate(terms, _bracket_pair(w, u2), c)
+    return tuple(sorted(terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +297,6 @@ def holonomy_relations_from_flats(flats, labels) -> HolonomyPresentation:
     return HolonomyPresentation(
         len(labels), names, tuple(rels), levels, tuple(flat_indices)
     )
-
-
-def lemma_brackets_transform(x_index: int, y_index: int, w_ab: Sequence[int], offset: int = 0) -> LieElement:
-    """[x + w-bar, y] from a group relation x^-1 y x = w y w^-1.
-
-    ``w_ab`` is the abelianization of w over the target level's generators;
-    ``offset`` maps those level positions into the global generator list.
-    Conjugate choices of w change the result by multiples of brackets with
-    y, so the emitted relation set is well defined up to row span.
-    """
-    terms = dict(_bracket_pair((x_index,), (y_index,)))
-    for pos, coeff in enumerate(w_ab, start=1):
-        if coeff:
-            _accumulate(terms, _bracket_pair((offset + pos,), (y_index,)), coeff)
-    return LieElement(2, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +519,16 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
                     f"flat relation for {flat} is not implied by the presentation"
                 )
 
+    # Degree-2 rows on one level's local letters are keyed by the integer
+    # code u*M + v of the Lyndon word (u, v), u < v.
+    M = max(len(members) for members in by_level.values()) + 1
+
+    def lie2(u: int, v: int) -> tuple:
+        """[x_u, x_v] on local letters u, v."""
+        if u < v:
+            return ((u * M + v, 1),)
+        return ((v * M + u, -1),) if v < u else ()
+
     # The derivation action of a lower generator x on level lv, in the local
     # Lyndon coordinates of that level: D_x y = [y, s_x(y)], where the flat
     # sum s_x(y) lists the level-lv members of the flat through x and y.
@@ -566,9 +540,9 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     @cache
     def omega(x: int, y: int) -> tuple:
         u = local_index[y]
-        terms: dict[tuple[int, ...], int] = {}
+        terms: dict[int, int] = {}
         for v in flat_sum(x, y):
-            _accumulate(terms, _bracket_pair((u,), (v,)))
+            _accumulate(terms, lie2(u, v))
         return tuple(terms.items())
 
     # each relation as [x_a, x_b] combinations (0-based), split once
@@ -583,8 +557,7 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
         for (a, b), coeff in pairs:
             la, lb = levels[a], levels[b]
             if la == lb:
-                lv = la
-                img = _bracket_pair((local_index[a],), (local_index[b],))
+                lv, img = la, lie2(local_index[a], local_index[b])
             elif la < lb:
                 lv, img = lb, omega(a, b)
             else:
@@ -607,28 +580,39 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
         """E_ab = [s_a(y), s_b(y)] + D_a s_b(y) - D_b s_a(y) on y's level."""
         members = by_level[levels[y]]
         sa, sb = flat_sum(a, y), flat_sum(b, y)
-        terms: dict[tuple[int, ...], int] = {}
+        terms: dict[int, int] = {}
         for u in sa:
             for v in sb:
-                _accumulate(terms, _bracket_pair((u,), (v,)))
+                _accumulate(terms, lie2(u, v))
         for v in sb:
             _accumulate(terms, omega(a, members[v - 1]))
         for u in sa:
             _accumulate(terms, omega(b, members[u - 1]), -1)
         return tuple(terms.items())
 
+    # x moves y when its flat sum s_x(y) is more than y itself.  If neither
+    # a nor b moves y then s_a(y) = s_b(y) = y and every term of E_ab is
+    # [y, y] = 0, so only relations and pairs with a mover are summed.
     # E_ab depends on y, so it is cached per level generator and shared
-    # across relations
+    # across relations.
     tops = [
         (max(levels[g] for ab, _ in pairs for g in ab), pairs) for pairs in split if pairs
     ]
     for lv in sorted(by_level)[1:]:
         lower = [pairs for top, pairs in tops if top < lv]
+        containing: dict[int, set[int]] = {}
+        for ri, pairs in enumerate(lower):
+            for ab, _ in pairs:
+                for g in ab:
+                    containing.setdefault(g, set()).add(ri)
         for y in by_level[lv]:
+            movers = {x for x in containing if len(flat_sum(x, y)) > 1}
             cached: dict[tuple[int, int], tuple] = {}
-            for pairs in lower:
-                total: dict[tuple[int, ...], int] = {}
-                for ab, coeff in pairs:
+            for ri in set().union(*(containing[x] for x in movers)):
+                total: dict[int, int] = {}
+                for ab, coeff in lower[ri]:
+                    if ab[0] not in movers and ab[1] not in movers:
+                        continue
                     e = cached.get(ab)
                     if e is None:
                         e = cached[ab] = jacobi(*ab, y)

@@ -16,6 +16,7 @@ from braidforge.liealg import (
     HolonomyPresentation,
     LieElement,
     LieError,
+    _bracket_pair,
     _echelon_insert,
     flat_relations,
     _rank_of_rows,
@@ -24,7 +25,6 @@ from braidforge.liealg import (
     generator,
     graded_ranks,
     holonomy_relations_from_flats,
-    lemma_brackets_transform,
     lyndon_words,
     standard_factorization,
     witt_rank,
@@ -52,10 +52,11 @@ def test_lyndon_word_counts_match_witt():
             assert len(lyndon_words(d, k)) == witt_rank(d, k)
 
 
-def test_lyndon_enumeration_by_brute_force():
-    def is_lyndon(w):
-        return all(w < w[s:] + w[:s] for s in range(1, len(w)))
+def is_lyndon(w):
+    return all(w < w[s:] + w[:s] for s in range(1, len(w)))
 
+
+def test_lyndon_enumeration_by_brute_force():
     from itertools import product
 
     for d, k in [(2, 5), (3, 4)]:
@@ -78,6 +79,74 @@ def test_bracket_basics():
     assert bracket(x1, x1).is_zero()
     assert bracket(x1, x2).terms == {(1, 2): 1}
     assert bracket(x2, x1).terms == {(1, 2): -1}
+
+
+def commutator_poly(P, Q):
+    """The associative commutator PQ - QP of two noncommutative polynomials."""
+    out = {}
+    for u, cu in P.items():
+        for v, cv in Q.items():
+            for w, c in ((u + v, cu * cv), (v + u, -cu * cv)):
+                out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def lyndon_poly(w):
+    """Associative expansion of the standard bracketing of a Lyndon word."""
+    if len(w) == 1:
+        return {w: 1}
+    return commutator_poly(*map(lyndon_poly, standard_factorization(w)))
+
+
+def assoc_to_lyndon(P):
+    """Lyndon coordinates of a Lie polynomial, by triangular extraction: the
+    lex-least word of lyndon_poly(w) is w itself, with coefficient one."""
+    P, out = dict(P), {}
+    while P:
+        w = min(P)
+        assert is_lyndon(w), f"leading word {w} is not Lyndon"
+        c = out[w] = P[w]
+        for x, cx in lyndon_poly(w).items():
+            P[x] = P.get(x, 0) - c * cx
+            if not P[x]:
+                del P[x]
+    return out
+
+
+@st.composite
+def lyndon_pairs(draw):
+    """Two Lyndon words over at most 5 letters, of total degree at most 7."""
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 6))
+    u = draw(st.sampled_from(lyndon_words(d, k)))
+    v = draw(st.sampled_from(lyndon_words(d, draw(st.integers(1, 7 - k)))))
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(lyndon_pairs())
+def test_bracket_pair_matches_associative_oracle(pair):
+    u, v = pair
+    expected = assoc_to_lyndon(commutator_poly(lyndon_poly(u), lyndon_poly(v)))
+    assert dict(_bracket_pair(u, v)) == expected
+
+
+@st.composite
+def lie_elements(draw, d=4, max_degree=3):
+    k = draw(st.integers(1, max_degree))
+    words = st.sampled_from(lyndon_words(d, k))
+    terms = draw(st.dictionaries(words, st.integers(-3, 3), max_size=4))
+    return LieElement(k, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lie_elements(), lie_elements(), lie_elements())
+def test_bracket_antisymmetry_and_jacobi_on_random_elements(a, b, c):
+    assert (bracket(a, b) + bracket(b, a)).is_zero()
+    jacobi = (
+        bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
+    )
+    assert jacobi.is_zero()
 
 
 def basis_elements(d, max_deg):
@@ -487,6 +556,21 @@ def test_monotone_under_added_relations():
         ranks2 = graded_ranks(bigger, 4)
         assert all(r2 <= r1 for r1, r2 in zip(ranks, ranks2))
         assert ranks2[0] == 4  # degree-1 rank is always the generator count
+
+
+def lemma_brackets_transform(x_index, y_index, w_ab, offset=0):
+    """[x + w-bar, y] from a group relation x^-1 y x = w y w^-1.
+
+    ``w_ab`` is the abelianization of w over the target level's generators;
+    ``offset`` maps those level positions into the global generator list.
+    Conjugate choices of w change the result by multiples of brackets with
+    y, so the emitted relation set is well defined up to row span.
+    """
+    left = generator(x_index)
+    for pos, coeff in enumerate(w_ab, start=1):
+        if coeff:
+            left = left + scaled(generator(offset + pos), coeff)
+    return bracket(left, generator(y_index))
 
 
 def test_lemma_brackets_transform():
