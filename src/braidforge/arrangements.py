@@ -27,7 +27,7 @@ from .braid import (
     pure_gen,
     u_chain,
 )
-from .freegroup import Word, WordError, invert, multiply, peel_conjugate, reduce as reduce_word
+from .freegroup import Word, WordError, conjugate, invert, peel_conjugate, word
 from .liealg import HolonomyPresentation, holonomy_relations_from_flats
 from .report import Report
 from .wiring import RealLine, braid_monodromy, real_line, wiring_from_real_lines
@@ -171,15 +171,9 @@ def typeb_wiring_cross_check(n: int) -> Report:
     return report
 
 
-def exponents(kind: str, *params: int) -> list[int]:
-    """Fiber-type exponents: type-B n gives odd numbers, monomial gives r(j-1)+1."""
-    if kind == "typeb":
-        (n,) = params
-        return [2 * j - 1 for j in range(1, n + 1)]
-    if kind == "monomial":
-        r, n = params
-        return [r * (j - 1) + 1 for j in range(1, n + 1)]
-    raise ArrangementError(f"unknown arrangement kind {kind!r}")
+def exponents(r: int, n: int) -> list[int]:
+    """Fiber-type exponents r(j-1)+1 of the monomial arrangement; type B is r = 2."""
+    return [r * (j - 1) + 1 for j in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +271,14 @@ class TowerLevel:
     """
 
     level: int
-    rank: int
     gen_names: tuple[str, ...]
     braids: dict[str, BraidWord]
 
+    @property
+    def rank(self) -> int:
+        return len(self.gen_names)
+
     def __post_init__(self) -> None:
-        if len(self.gen_names) != self.rank:
-            raise ArrangementError("generator count disagrees with rank")
         for name, b in self.braids.items():
             if b.strands != self.rank:
                 raise ArrangementError(f"braid for {name} has wrong strand count")
@@ -321,17 +316,13 @@ def build_typeb_tower(n: int) -> list[TowerLevel]:
     """Type-B tower; level j carries the closed-form braids of rank j-1."""
     levels = []
     for j in range(1, n + 1):
-        rank = 2 * j - 1
-        names = tuple(
-            _typeb_position_name(q, j)
-            for q in range(1, rank + 1)
-        )
+        names = tuple(_typeb_position_name(q, j) for q in range(1, 2 * j))
         braids: dict[str, BraidWord] = {}
         if j > 1:
             chi = typeb_monodromy_closed(j - 1)
             for sym, b in chi.items():
                 braids[sym.label()] = b
-        levels.append(TowerLevel(j, rank, names, braids))
+        levels.append(TowerLevel(j, names, braids))
     return levels
 
 
@@ -347,19 +338,18 @@ def build_monomial_tower(r: int, n: int) -> list[TowerLevel]:
     """Monomial tower; level j's braids are the monomial braids at (r, j-1)."""
     levels = []
     for j in range(1, n + 1):
-        rank = r * (j - 1) + 1
         names = ["Z[%d]" % j]
         for i in range(1, j):
             names.extend(f"A[{i},{j};{p}]" for p in range(1, r + 1))
         braids: dict[str, BraidWord] = {}
         if j > 1:
-            prm = mono.params(r, j - 1)
+            prm = mono.MonomialParams(r, j - 1)
             for t in range(1, j):
                 braids[f"Z[{t}]"] = mono.Z(t, prm)
                 for k in range(1, t):
                     for p in range(1, r + 1):
                         braids[f"A[{k},{t};{p}]"] = mono.A(k, t, p, prm)
-        levels.append(TowerLevel(j, rank, tuple(names), braids))
+        levels.append(TowerLevel(j, tuple(names), braids))
     return levels
 
 
@@ -589,7 +579,7 @@ def _sym_position(sym: BSym, l: int) -> int:
 def _sym_word(syms: Iterable[tuple[BSym, int]], l: int) -> Word:
     rank = 2 * l - 1
     letters = [sign * _sym_position(sym, l) for sym, sign in syms]
-    return reduce_word(letters, rank)
+    return word(rank, letters)
 
 
 def _word_as_symbols(w: Word, l: int) -> str:
@@ -623,7 +613,7 @@ def verify_pbn_table(n: int) -> Report:
         computed = eta.images[q - 1]
         if cell.conjugator is not None:
             K = _sym_word(cell.conjugator, l)
-            expected = multiply(multiply(K, Word(K.rank, (q,))), invert(K))
+            expected = conjugate(Word(K.rank, (q,)), invert(K))
             report.add(cell.name, computed == expected)
             continue
         # no literal reading: peel the computed conjugator and report it
@@ -636,7 +626,7 @@ def verify_pbn_table(n: int) -> Report:
         detail = f"computed: w tw^-1 with w = {_word_as_symbols(w, l)}"
         if cell.emendation is not None:
             K = _sym_word(cell.emendation, l)
-            expected = multiply(multiply(K, Word(K.rank, (q,))), invert(K))
+            expected = conjugate(Word(K.rank, (q,)), invert(K))
             detail += "; c_l reading %s" % ("matches" if expected == computed else "differs")
         report.add(f"{cell.name} [no literal reading]", True, detail)
     return report
@@ -653,7 +643,7 @@ def verify_pbn_correspondence(n: int) -> Report:
     """
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
-    prm = mono.params(2, n)
+    prm = mono.MonomialParams(2, n)
     calc = mono.BraidCalculator(prm.strands)
 
     def as_braid(sym: BSym) -> BraidWord:

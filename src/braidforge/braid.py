@@ -16,7 +16,7 @@ rather than n, and reduction happens only at the joins of reduced words.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .freegroup import Endomorphism, Word
@@ -38,11 +38,9 @@ __all__ = [
     "linking_numbers",
     "linking_pairs",
     "product",
-    "pretty",
     "verify_braid_relations",
     "verify_pure_braid_relations",
     "braid_to_text",
-    "braid_from_text",
 ]
 
 
@@ -56,7 +54,6 @@ class BraidWord:
 
     strands: int
     letters: tuple[int, ...]
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.strands < 1:
@@ -64,9 +61,6 @@ class BraidWord:
         for x in self.letters:
             if x == 0 or abs(x) > self.strands - 1:
                 raise BraidError(f"letter {x} out of range for {self.strands} strands")
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
@@ -80,12 +74,9 @@ class BraidWord:
         base = self if k >= 0 else ~self
         return BraidWord(self.strands, base.letters * abs(k))
 
-    def __str__(self) -> str:
-        return braid_to_text(self)
 
-
-def braid(n: int, letters: Iterable[int], name: str | None = None) -> BraidWord:
-    return BraidWord(n, tuple(letters), name)
+def braid(n: int, letters: Iterable[int]) -> BraidWord:
+    return BraidWord(n, tuple(letters))
 
 
 def empty_braid(n: int) -> BraidWord:
@@ -93,14 +84,16 @@ def empty_braid(n: int) -> BraidWord:
 
 
 def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
+    """The words concatenated left to right; an empty product needs the strand count n."""
     if not braids:
         if n is None:
             raise BraidError("empty product needs an explicit strand count")
         return empty_braid(n)
-    out = braids[0]
-    for b in braids[1:]:
-        out = out * b
-    return out
+    strands = braids[0].strands
+    for b in braids:
+        if b.strands != strands:
+            raise BraidError(f"strand mismatch: {strands} != {b.strands}")
+    return BraidWord(strands, tuple(x for b in braids for x in b.letters))
 
 
 def _conjugate(x: list[int], y: list[int], x_inv: list[int], neg: dict[int, int]) -> list[int]:
@@ -197,7 +190,7 @@ def pure_gen(i: int, j: int, n: int) -> BraidWord:
     if not (1 <= i < j <= n):
         raise BraidError(f"need 1 <= i < j <= n, got ({i}, {j}, {n})")
     letters = list(range(j - 1, i, -1)) + [i, i] + [-k for k in range(i + 1, j)]
-    return BraidWord(n, tuple(letters), name=f"A[{i},{j}]")
+    return BraidWord(n, tuple(letters))
 
 
 def full_twist(V: Iterable[int], n: int) -> BraidWord:
@@ -211,7 +204,7 @@ def full_twist(V: Iterable[int], n: int) -> BraidWord:
     for t in range(1, len(ks)):
         for s in range(t):
             letters.extend(pure_gen(ks[s], ks[t], n).letters)
-    return BraidWord(n, tuple(letters), name="A[" + ",".join(map(str, ks)) + "]")
+    return BraidWord(n, tuple(letters))
 
 
 def u_chain(r: int, s: int, n: int) -> BraidWord:
@@ -221,7 +214,7 @@ def u_chain(r: int, s: int, n: int) -> BraidWord:
     letters: list[int] = []
     for k in range(r + 1, s + 1):
         letters.extend(pure_gen(r, k, n).letters)
-    return BraidWord(n, tuple(letters), name=f"U[{r},{s}]")
+    return BraidWord(n, tuple(letters))
 
 
 def linking_numbers(b: BraidWord) -> list[list[int]]:
@@ -336,18 +329,3 @@ def verify_pure_braid_relations(n: int) -> Report:
 def braid_to_text(b: BraidWord) -> str:
     """Space-separated signed integers; the trivial braid is the empty string."""
     return " ".join(str(x) for x in b.letters)
-
-
-def pretty(b: BraidWord) -> str:
-    return b.name if b.name is not None else braid_to_text(b)
-
-
-def braid_from_text(text: str, n: int) -> BraidWord:
-    text = text.strip()
-    if not text:
-        return empty_braid(n)
-    try:
-        letters = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise BraidError(f"bad braid text {text!r}") from exc
-    return BraidWord(n, letters)

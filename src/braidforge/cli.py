@@ -113,7 +113,7 @@ def _cmd_typeb(args, out) -> int:
 def _cmd_monomial(args, out) -> int:
     _guard("r", args.r, MAX_R)
     _guard("n", args.n, MAX_N)
-    prm = mono.params(args.r, args.n)
+    prm = mono.MonomialParams(args.r, args.n)
     suites = {
         "relations": mono.verify_monomial_relations,
         "lemma-conj": mono.verify_lemma_conj,
@@ -199,7 +199,7 @@ def _cmd_lie(args, out) -> int:
         )
         ranks = liealg.graded_ranks(pres, args.max_degree)
         if exps is None:
-            exps = arr.exponents("monomial", r, n)
+            exps = arr.exponents(r, n)
     elif args.flats:
         pres = _parse_flats_file(_read_file(args.flats))
         ranks = liealg.graded_ranks(pres, args.max_degree)
@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lie", help="graded rank table with Witt comparison")
     p.add_argument("--exponents")
-    p.add_argument("--monomial")
-    p.add_argument("--flats")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--monomial")
+    source.add_argument("--flats")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
 

@@ -11,7 +11,6 @@ commutator is ``[u, v] = u v u^-1 v^-1``.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -20,7 +19,6 @@ __all__ = [
     "Word",
     "Endomorphism",
     "WordError",
-    "reduce",
     "word",
     "multiply",
     "invert",
@@ -32,11 +30,10 @@ __all__ = [
     "identity",
     "abelianize",
     "word_to_text",
-    "word_from_text",
 ]
 
 class WordError(ValueError):
-    """Malformed word data: bad letter, rank mismatch, or parse failure."""
+    """Malformed word data: bad letter, rank mismatch, or a word of the wrong shape."""
 
 
 def _check_letters(letters: Iterable[int], rank: int) -> None:
@@ -76,34 +73,14 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else invert(self)
-        out = Word(self.rank, ())
-        for _ in range(abs(k)):
-            out = multiply(out, base)
-        return out
-
     def __str__(self) -> str:
         return word_to_text(self)
 
 
-def reduce(letters: Sequence[int], rank: int) -> Word:
+def word(rank: int, letters: Sequence[int]) -> Word:
     """Freely reduce a raw signed-index sequence into a Word."""
     _check_letters(letters, rank)
     return Word(rank, tuple(_reduce_list(letters)))
-
-
-def word(rank: int, letters: Sequence[int]) -> Word:
-    return reduce(letters, rank)
 
 
 def _same_rank(u: Word, v: Word) -> None:
@@ -174,9 +151,6 @@ class Endomorphism:
     def __call__(self, u: Word) -> Word:
         return apply(self, u)
 
-    def __mul__(self, other: "Endomorphism") -> "Endomorphism":
-        return compose(self, other)
-
 
 def identity(rank: int) -> Endomorphism:
     return Endomorphism(rank, tuple(Word(rank, (i,)) for i in range(1, rank + 1)))
@@ -201,9 +175,6 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     return Endomorphism(a.rank, tuple(apply(b, img) for img in a.images))
 
 
-_TOKEN_RE = re.compile(r"^t(\d+)(?:\^(-?\d+))?$")
-
-
 def word_to_text(u: Word) -> str:
     """Render as juxtaposed tokens like ``t3 t3^-1``; the empty word is ``1``."""
     if not u.letters:
@@ -212,23 +183,3 @@ def word_to_text(u: Word) -> str:
     for x in u.letters:
         parts.append(f"t{x}" if x > 0 else f"t{-x}^-1")
     return " ".join(parts)
-
-
-def word_from_text(text: str, rank: int) -> Word:
-    text = text.strip()
-    if text in ("", "1"):
-        return Word(rank, ())
-    letters: list[int] = []
-    for token in text.split():
-        m = _TOKEN_RE.match(token)
-        if not m:
-            raise WordError(f"bad word token {token!r}")
-        idx = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) else 1
-        if idx == 0 or idx > rank:
-            raise WordError(f"generator t{idx} out of range for rank {rank}")
-        if exp == 0:
-            continue
-        sign = 1 if exp > 0 else -1
-        letters.extend([sign * idx] * abs(exp))
-    return reduce(letters, rank)

@@ -29,7 +29,6 @@ from .report import Report
 __all__ = [
     "MonomialParams",
     "BraidCalculator",
-    "params",
     "tau",
     "rho",
     "X",
@@ -64,10 +63,6 @@ class MonomialParams:
         return self.r * self.n + 1
 
 
-def params(r: int, n: int) -> MonomialParams:
-    return MonomialParams(r, n)
-
-
 def strand_of_point(i: int, p: int, prm: MonomialParams) -> int:
     """Strand index of the orbit point `i * zeta^p`, 1 <= p <= r."""
     if not (1 <= i <= prm.n and 1 <= p <= prm.r):
@@ -95,26 +90,21 @@ def tau(i: int, prm: MonomialParams) -> BraidWord:
     return BraidWord(prm.strands, tuple(letters))
 
 
-def _block(name: str, factors: list[BraidWord], prm: MonomialParams) -> BraidWord:
-    """The named product of the factors, left to right; empty when there are none."""
-    return BraidWord(prm.strands, product(factors, prm.strands).letters, name=name)
-
-
-# Every named block below is built once per (indices, params) and then
-# shared: braid words are immutable, and MonomialParams hashes.
+# Every block below is built once per (indices, params) and then shared:
+# braid words are immutable, and MonomialParams hashes.
 @cache
 def rho(i: int, prm: MonomialParams) -> BraidWord:
     """Monomial braid generator rho_i, 0 <= i <= n-1."""
     r, n = prm.r, prm.n
     if i == 0:
         letters = tuple(range(r, 0, -1)) + (1,)
-        return BraidWord(prm.strands, letters, name="rho[0]")
+        return BraidWord(prm.strands, letters)
     if not (1 <= i <= n - 1):
         raise BraidError(f"rho index {i} out of range for n={n}")
     base = (i - 1) * r
     mid = BraidWord(prm.strands, tuple(range(base + 2, base + 2 * r + 1, 2)))
     t = tau(i, prm)
-    return _block(f"rho[{i}]", [~t, mid, t], prm)
+    return product([~t, mid, t], prm.strands)
 
 
 @cache
@@ -123,7 +113,7 @@ def X(i: int, prm: MonomialParams) -> BraidWord:
     if not (1 <= i <= prm.n):
         raise BraidError(f"X index {i} out of range for n={prm.n}")
     down = [rho(k, prm) for k in range(i - 1, 0, -1)]
-    return _block(f"X[{i}]", down + [rho(0, prm)] + down[::-1], prm)
+    return product(down + [rho(0, prm)] + down[::-1], prm.strands)
 
 
 @cache
@@ -133,7 +123,7 @@ def Z(j: int, prm: MonomialParams) -> BraidWord:
         raise BraidError(f"Z index {j} out of range for n={prm.n}")
     down = [rho(k, prm) for k in range(j - 1, 0, -1)]
     up = [~b for b in reversed(down)]
-    return _block(f"Z[{j}]", down + [rho(0, prm) ** prm.r] + up, prm)
+    return product(down + [rho(0, prm) ** prm.r] + up, prm.strands)
 
 
 @cache
@@ -142,7 +132,7 @@ def _A_any_p(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
     up = [~b for b in reversed(down)]
     xi = X(i, prm)
     factors = [xi ** (p - prm.r)] + down + [rho(i, prm) ** 2] + up + [xi ** (prm.r - p)]
-    return _block(f"A[{i},{j};{p}]", factors, prm)
+    return product(factors, prm.strands)
 
 
 def A(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
@@ -159,7 +149,7 @@ def Abracket(i: int, j: int, p: int, prm: MonomialParams) -> BraidWord:
     """A^{[p]} = A^{(p)} A^{(p+1)} ... A^{(r-1)}, with A^{[r]} = 1."""
     if not (1 <= p <= prm.r):
         raise BraidError(f"A-bracket exponent p={p} out of range for r={prm.r}")
-    return _block(f"Abr[{i},{j};{p}]", [A(i, j, q, prm) for q in range(p, prm.r)], prm)
+    return product([A(i, j, q, prm) for q in range(p, prm.r)], prm.strands)
 
 
 @cache
@@ -167,7 +157,7 @@ def C(l: int, prm: MonomialParams) -> BraidWord:
     """C_l = A^{(r)}_{1,l} A^{(r)}_{2,l} ... A^{(r)}_{l-1,l}; C_1 is empty."""
     if not (1 <= l <= prm.n):
         raise BraidError(f"C index {l} out of range for n={prm.n}")
-    return _block(f"C[{l}]", [A(i, l, prm.r, prm) for i in range(1, l)], prm)
+    return product([A(i, l, prm.r, prm) for i in range(1, l)], prm.strands)
 
 
 @cache
@@ -176,7 +166,7 @@ def D(k: int, prm: MonomialParams) -> BraidWord:
     if not (1 <= k <= prm.n):
         raise BraidError(f"D index {k} out of range for n={prm.n}")
     brackets = [Abracket(i, k, 1, prm) for i in range(k - 1, 0, -1)]
-    return _block(f"D[{k}]", brackets + [Z(k, prm), C(k, prm)], prm)
+    return product(brackets + [Z(k, prm), C(k, prm)], prm.strands)
 
 
 @cache
@@ -188,7 +178,7 @@ def lemma_conj_D(k: int, l: int, prm: MonomialParams) -> BraidWord:
     l - k >= 2.
     """
     tail = [A(k, m, 1, prm) for m in range(k + 1, l)]
-    return _block(f"Dext[{k};{l}]", [D(k, prm)] + tail, prm)
+    return product([D(k, prm)] + tail, prm.strands)
 
 
 def _q_factors(j: int, p: int, prm: MonomialParams) -> list[BraidWord]:
@@ -211,7 +201,7 @@ def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
         raise BraidError(f"Q index {j} out of range for n={prm.n}")
     if p < 0 or p > prm.r:
         raise BraidError(f"Q exponent p={p} out of range for r={prm.r}")
-    return _block(f"Q[{j},{p}]", _q_factors(j, p, prm), prm)
+    return product(_q_factors(j, p, prm), prm.strands)
 
 
 class BraidCalculator:

@@ -126,7 +126,7 @@ def test_criterion_4_monomial_braid_relations():
     with _Budget(4, "monomial braid relations, r<=3, n<=4", 10.0):
         for r in (1, 2, 3):
             for n in (2, 3, 4):
-                rep = mono.verify_monomial_relations(mono.params(r, n))
+                rep = mono.verify_monomial_relations(mono.MonomialParams(r, n))
                 assert rep.passed, rep.failures
 
 
@@ -134,18 +134,18 @@ def test_criterion_5_lemma_conj():
     with _Budget(5, "conjugation lemma case table, r in {2,3}, n in {3,4}", 30.0):
         for r in (2, 3):
             for n in (3, 4):
-                rep = mono.verify_lemma_conj(mono.params(r, n))
+                rep = mono.verify_lemma_conj(mono.MonomialParams(r, n))
                 assert rep.passed, rep.failures
 
 
 def test_criterion_6_presentation_families():
     with _Budget(6, "pure monomial presentation families, r<=3, n=4", 300.0):
         for r in (1, 2, 3):
-            rep = mono.verify_presentation(mono.params(r, 4))
+            rep = mono.verify_presentation(mono.MonomialParams(r, 4))
             assert rep.passed, rep.failures
         # r=1 degeneration: the braids satisfy the classical pure braid
         # relation instances verbatim
-        prm = mono.params(1, 4)
+        prm = mono.MonomialParams(1, 4)
         calc = mono.BraidCalculator(prm.strands)
         a = {(i, j): mono.A(i, j, 1, prm) for j in range(2, 5) for i in range(1, j)}
         for j in range(2, 5):
@@ -168,7 +168,7 @@ def test_criterion_7_free_factor_generators():
     with _Budget(7, "free-factor generators: purity, linking, independence", 10.0):
         for r in (1, 2, 3):
             for n in (2, 3, 4):
-                rep = mono.verify_generators_free_factor(mono.params(r, n))
+                rep = mono.verify_generators_free_factor(mono.MonomialParams(r, n))
                 assert rep.passed, rep.failures
 
 
@@ -179,7 +179,7 @@ def test_criterion_8_lie_rank_equalities():
                 pres = liealg.holonomy_relations_from_flats(
                     arr.monomial_flats(r, n), arr.monomial_hyperplanes(r, n)
                 )
-                exps = arr.exponents("monomial", r, n)
+                exps = arr.exponents(r, n)
                 expect = [
                     sum(liealg.witt_rank(d, k) for d in exps) for k in range(1, 6)
                 ]

@@ -88,11 +88,9 @@ def test_closed_form_matches_wiring(n):
 
 
 def test_exponents():
-    assert exponents("typeb", 3) == [1, 3, 5]
-    assert exponents("monomial", 2, 3) == [1, 3, 5]
-    assert exponents("monomial", 1, 3) == [1, 2, 3]
-    with pytest.raises(ArrangementError):
-        exponents("bogus", 1)
+    assert exponents(2, 3) == [1, 3, 5]  # type B is r = 2
+    assert exponents(1, 3) == [1, 2, 3]
+    assert [lvl.rank for lvl in build_typeb_tower(3)] == exponents(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,8 @@ def test_r2_flats_match_typeb_shape():
 
 def test_trivial_tower_direct_product():
     tower = [
-        TowerLevel(1, 1, ("x",), {}),
-        TowerLevel(2, 2, ("y1", "y2"), {"x": empty_braid(2)}),
+        TowerLevel(1, ("x",), {}),
+        TowerLevel(2, ("y1", "y2"), {"x": empty_braid(2)}),
     ]
     pres = assemble_presentation(tower)
     assert len(pres.relations) == 2

@@ -10,14 +10,12 @@ from braidforge.braid import (
     artin,
     braid,
     braid_equal,
-    braid_from_text,
     braid_to_text,
     empty_braid,
     full_twist,
     linking_numbers,
     linking_pairs,
     permutation,
-    pretty,
     pure_gen,
     u_chain,
     verify_braid_relations,
@@ -220,12 +218,6 @@ def test_eq4_otherwise_commutes():
 def test_text_round_trip():
     b = braid(4, [2, -3])
     assert braid_to_text(b) == "2 -3"
-    assert braid_from_text("2 -3", 4) == b
-    assert braid_from_text("", 4).letters == ()
-    assert pretty(pure_gen(1, 3, 4)) == "A[1,3]"
-    assert pretty(b) == "2 -3"
-    with pytest.raises(BraidError):
-        braid_from_text("2 x", 4)
 
 
 @given(st.integers(2, 6), st.data())

@@ -171,6 +171,17 @@ def test_format_is_an_option_of_lie_alone():
     assert code == 2
 
 
+def test_lie_monomial_and_flats_are_exclusive(tmp_path):
+    # the two presentation sources cannot be combined; argparse exits 2
+    flats = tmp_path / "pair.flats"
+    flats.write_text("a b\n")
+    code, out = run_cli(
+        "lie", "--monomial", "2,2", "--flats", str(flats), "--max-degree", "2"
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_lie_flats_file(tmp_path):
     flats = tmp_path / "triple.flats"
     flats.write_text("gens: a b c\nflat: a b c\n")

@@ -15,9 +15,7 @@ from braidforge.freegroup import (
     invert,
     multiply,
     peel_conjugate,
-    reduce,
     word,
-    word_from_text,
     word_to_text,
 )
 
@@ -37,16 +35,16 @@ def naive_reduce(letters):
 
 
 def test_reduce_examples():
-    assert reduce([1, 2, -2, 3], 3).letters == (1, 3)
-    assert reduce([], 3).letters == ()
-    assert reduce([1, -1, 1, -1], 1).letters == naive_reduce([1, -1, 1, -1]) == ()
+    assert word(3, [1, 2, -2, 3]).letters == (1, 3)
+    assert word(3, []).letters == ()
+    assert word(1, [1, -1, 1, -1]).letters == naive_reduce([1, -1, 1, -1]) == ()
 
 
 def test_reduce_rejects_bad_letters():
     with pytest.raises(WordError):
-        reduce([0], 2)
+        word(2, [0])
     with pytest.raises(WordError):
-        reduce([3], 2)
+        word(2, [3])
 
 
 letters_strategy = st.lists(
@@ -56,13 +54,13 @@ letters_strategy = st.lists(
 
 @given(letters_strategy)
 def test_reduce_matches_naive_oracle(letters):
-    assert reduce(letters, 4).letters == naive_reduce(letters)
+    assert word(4, letters).letters == naive_reduce(letters)
 
 
 @given(letters_strategy)
 def test_reduce_idempotent_and_nonincreasing(letters):
-    w = reduce(letters, 4)
-    assert reduce(w.letters, 4) == w
+    w = word(4, letters)
+    assert word(4, w.letters) == w
     assert len(w) <= len(letters)
 
 
@@ -74,7 +72,7 @@ def test_group_laws_examples():
 
 @given(letters_strategy, letters_strategy, letters_strategy)
 def test_group_axioms(a, b, c):
-    u, v, w = (reduce(x, 4) for x in (a, b, c))
+    u, v, w = (word(4, x) for x in (a, b, c))
     assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
     e = Word(4, ())
     assert multiply(u, e) == u and multiply(e, u) == u
@@ -123,7 +121,7 @@ def test_compose_right_action_convention():
 def test_compose_is_apply_then_apply(letters):
     e = Endomorphism(4, tuple(word(4, [i, (i % 4) + 1]) for i in range(1, 5)))
     f = Endomorphism(4, tuple(word(4, [-i]) for i in range(1, 5)))
-    w = reduce(letters, 4)
+    w = word(4, letters)
     assert apply(compose(e, f), w) == apply(f, apply(e, w))
 
 
@@ -135,7 +133,7 @@ def test_abelianize():
 
 @given(letters_strategy, letters_strategy)
 def test_abelianize_additive_and_conjugation_invariant(a, b):
-    u, v = reduce(a, 4), reduce(b, 4)
+    u, v = word(4, a), word(4, b)
     uv = multiply(u, v)
     assert abelianize(uv) == tuple(
         x + y for x, y in zip(abelianize(u), abelianize(v))
@@ -146,14 +144,7 @@ def test_abelianize_additive_and_conjugation_invariant(a, b):
 def test_word_text_round_trip():
     w = word(3, [1, -3, -3, 2])
     assert word_to_text(w) == "t1 t3^-1 t3^-1 t2"
-    assert word_from_text(word_to_text(w), 3) == w
     assert word_to_text(word(3, [])) == "1"
-    assert word_from_text("1", 3).letters == ()
-    assert word_from_text("t2^3 t1^-2", 3).letters == (2, 2, 2, -1, -1)
-    with pytest.raises(WordError):
-        word_from_text("x1", 3)
-    with pytest.raises(WordError):
-        word_from_text("t9", 3)
 
 
 def test_peel_conjugate():
@@ -166,7 +157,7 @@ def test_peel_conjugate():
 
 @given(letters_strategy, st.integers(min_value=1, max_value=4))
 def test_peel_conjugate_inverts_conjugation(letters, s):
-    u = reduce(letters, 4)
+    u = word(4, letters)
     w = multiply(multiply(u, word(4, [s])), invert(u))
     v, core = peel_conjugate(w)
     assert core == s
@@ -178,5 +169,5 @@ def test_compose_associative(letters):
     e = Endomorphism(4, tuple(word(4, [i, (i % 4) + 1]) for i in range(1, 5)))
     f = Endomorphism(4, tuple(word(4, [-i]) for i in range(1, 5)))
     g = Endomorphism(4, tuple(word(4, [(i % 4) + 1]) for i in range(1, 5)))
-    w = reduce(letters, 4)
+    w = word(4, letters)
     assert apply(compose(compose(e, f), g), w) == apply(compose(e, compose(f, g)), w)

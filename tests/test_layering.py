@@ -50,3 +50,96 @@ def test_relative_imports_name_earlier_modules(module):
                 assert name.split(".")[0] in earlier, (
                     f"{module} imports {name}, which is not listed before it"
                 )
+
+
+# Public names with no caller in the package, each with the job that keeps it.
+# A name that gains a caller must leave this dict.
+TEST_FACING = {
+    # verification suites
+    "wiring.verify_twist_shape": "suite run by the braid-images bench and the wiring tests",
+    "arrangements.verify_pbn_table": "suite run by the acceptance and arrangement tests",
+    "arrangements.verify_pbn_correspondence": "suite run by the acceptance and monomial tests",
+    "arrangements.ft_bracket_relations": "tower holonomy presentation the Lie tests certify",
+    # reference oracles
+    "freegroup.compose": "oracle: Artin images composed letter by letter",
+    "freegroup.identity": "oracle: the start of a letter-by-letter Artin image",
+    "freegroup.commutator": "oracle: expected relation words in the acceptance tests",
+    "garside.starting_set": "oracle: left-weightedness of normal-form factors",
+    "garside.finishing_set": "oracle: left-weightedness of normal-form factors",
+    "liealg.lyndon_words":
+        "oracle: the Witt count of Lyndon words; the bench checks its cache is cold",
+    "liealg.bracket": "oracle: Lie elements built by hand in the Lie tests",
+    "liealg.generator": "oracle: Lie elements built by hand in the Lie tests",
+    # test constructors
+    "wiring.partition": "builds consecutive partitions in the wiring tests",
+    "wiring.singletons": "builds the all-singleton partition in the wiring tests",
+    "monomial.Q": "the presentation's Q_{j,p} braid, checked pure in the monomial tests",
+}
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _references() -> set[tuple[str, str]]:
+    """(module, name) pairs read anywhere in the package outside that name's own definition.
+
+    A bare name resolves through the reading module's relative imports, and
+    ``mod.name`` counts when ``mod`` is a package module bound by
+    ``from . import``.
+    """
+    refs: set[tuple[str, str]] = set()
+    for module in ORDER:
+        tree = _tree(module)
+        origin, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module:
+                        origin[alias.asname or alias.name] = (node.module, alias.name)
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        for stmt in tree.body:
+            own = _defined_names(ast.Module(body=[stmt], type_ignores=[]))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id not in own:
+                    refs.add(origin.get(node.id, (module, node.id)))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    refs.add((modules[node.value.id], node.attr))
+    return refs
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_public_names_are_defined(module):
+    tree = _tree(module)
+    missing = set(_public_names(tree)) - _defined_names(tree)
+    assert not missing, f"{module}.__all__ lists undefined names {sorted(missing)}"
+
+
+def test_public_names_are_read_or_test_facing():
+    refs = _references()
+    public = {(m, name) for m in ORDER for name in _public_names(_tree(m))}
+    unread = sorted(
+        f"{m}.{name}" for m, name in public - refs if f"{m}.{name}" not in TEST_FACING
+    )
+    assert not unread, f"public names nothing in the package reads: {unread}"
+    stale = sorted(set(TEST_FACING) - {f"{m}.{name}" for m, name in public - refs})
+    assert not stale, f"TEST_FACING lists names that are not public or already read: {stale}"

@@ -672,6 +672,6 @@ def test_monomial_rank_equalities_n4(r):
     from braidforge.arrangements import exponents
 
     hp = holonomy_relations_from_flats(monomial_flats(r, 4), monomial_hyperplanes(r, 4))
-    exps = exponents("monomial", r, 4)
+    exps = exponents(r, 4)
     expect = [sum(witt_rank(d, k) for d in exps) for k in range(1, 6)]
     assert graded_ranks(hp, 5) == expect

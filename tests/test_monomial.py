@@ -8,12 +8,12 @@ from braidforge.monomial import (
     BraidCalculator,
     C,
     D,
+    MonomialParams,
     Q,
     X,
     Z,
     lemma_conj_D,
     orbit_strands,
-    params,
     rho,
     strand_of_point,
     tau,
@@ -26,26 +26,26 @@ from braidforge.braid import BraidError
 
 
 def test_tau_closed_form():
-    assert tau(1, params(2, 2)).letters == (3,)
-    assert tau(1, params(3, 2)).letters == (3, 5, 4)
-    assert tau(1, params(1, 3)).letters == ()
-    assert tau(2, params(3, 3)).letters == (6, 8, 7)
+    assert tau(1, MonomialParams(2, 2)).letters == (3,)
+    assert tau(1, MonomialParams(3, 2)).letters == (3, 5, 4)
+    assert tau(1, MonomialParams(1, 3)).letters == ()
+    assert tau(2, MonomialParams(3, 3)).letters == (6, 8, 7)
     with pytest.raises(BraidError):
-        tau(2, params(2, 2))
+        tau(2, MonomialParams(2, 2))
 
 
 def test_rho_closed_form():
-    assert rho(0, params(1, 2)).letters == (1, 1)
-    assert rho(1, params(1, 4)).letters == (2,)
-    assert rho(0, params(2, 2)).letters == (2, 1, 1)
-    assert rho(1, params(2, 2)).letters == (-3, 2, 4, 3)
-    assert rho(0, params(3, 2)).letters == (3, 2, 1, 1)
+    assert rho(0, MonomialParams(1, 2)).letters == (1, 1)
+    assert rho(1, MonomialParams(1, 4)).letters == (2,)
+    assert rho(0, MonomialParams(2, 2)).letters == (2, 1, 1)
+    assert rho(1, MonomialParams(2, 2)).letters == (-3, 2, 4, 3)
+    assert rho(0, MonomialParams(3, 2)).letters == (3, 2, 1, 1)
     with pytest.raises(BraidError):
-        rho(2, params(2, 2))
+        rho(2, MonomialParams(2, 2))
 
 
 def test_strand_order():
-    prm = params(3, 2)
+    prm = MonomialParams(3, 2)
     assert strand_of_point(1, 1, prm) == 2
     assert strand_of_point(1, 3, prm) == 4
     assert strand_of_point(2, 1, prm) == 5
@@ -55,7 +55,7 @@ def test_strand_order():
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rho_permutations(r, n):
-    prm = params(r, n)
+    prm = MonomialParams(r, n)
     p0 = permutation(rho(0, prm))
     # r-cycle on the first orbit block {2..r+1}, fixing everything else
     for s in range(2, r + 1):
@@ -75,7 +75,7 @@ def test_rho_permutations(r, n):
 
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 2), (2, 3), (3, 2)])
 def test_pure_monomial_braids_are_pure(r, n):
-    prm = params(r, n)
+    prm = MonomialParams(r, n)
     for j in range(1, n + 1):
         assert permutation(Z(j, prm)).is_identity
         assert permutation(X(j, prm) ** r).is_identity
@@ -89,21 +89,21 @@ def test_pure_monomial_braids_are_pure(r, n):
 
 
 def test_z_and_a_base_cases():
-    prm = params(2, 2)
+    prm = MonomialParams(2, 2)
     assert Z(1, prm).letters == (rho(0, prm) ** 2).letters
     assert Abracket(1, 2, 2, prm).letters == ()
     assert Abracket(1, 2, 1, prm).letters == A(1, 2, 1, prm).letters
     assert C(1, prm).letters == ()
     assert Q(1, 1, prm).letters == ()
     assert D(1, prm).letters == (Z(1, prm) * C(1, prm)).letters
-    prm3 = params(3, 3)
+    prm3 = MonomialParams(3, 3)
     assert Abracket(1, 2, 1, prm3).letters == (
         A(1, 2, 1, prm3) * A(1, 2, 2, prm3)
     ).letters
 
 
 def test_index_validation():
-    prm = params(2, 3)
+    prm = MonomialParams(2, 3)
     with pytest.raises(BraidError):
         A(2, 2, 1, prm)
     with pytest.raises(BraidError):
@@ -115,14 +115,14 @@ def test_index_validation():
 
 
 def test_r1_z_is_classical_twist():
-    prm = params(1, 3)
+    prm = MonomialParams(1, 3)
     assert linking_pairs(Z(1, prm)) == {(1, 2): 1}
     # A^{(1)}_{1,2} at r=1 twists the two orbit strands
     assert linking_pairs(A(1, 2, 1, prm)) == {(2, 3): 1}
 
 
 def test_z2_linking_pattern_r2():
-    prm = params(2, 2)
+    prm = MonomialParams(2, 2)
     assert linking_pairs(Z(2, prm)) == {(1, 4): 1, (1, 5): 1, (4, 5): 1}
     assert linking_pairs(A(1, 2, 1, prm)) == {(2, 5): 1, (3, 4): 1}
     assert linking_pairs(A(1, 2, 2, prm)) == {(2, 4): 1, (3, 5): 1}
@@ -130,32 +130,32 @@ def test_z2_linking_pattern_r2():
 
 @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_monomial_relations(r, n):
-    rep = verify_monomial_relations(params(r, n))
+    rep = verify_monomial_relations(MonomialParams(r, n))
     assert rep.passed, rep.failures
 
 
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 3)])
 def test_lemma_conj(r, n):
-    rep = verify_lemma_conj(params(r, n))
+    rep = verify_lemma_conj(MonomialParams(r, n))
     assert rep.passed, rep.failures
 
 
 def test_lemma_conj_extended_conjugator_is_bare_D_for_adjacent():
-    prm = params(3, 3)
+    prm = MonomialParams(3, 3)
     assert lemma_conj_D(2, 3, prm).letters == D(2, prm).letters
     assert lemma_conj_D(1, 3, prm).letters == (D(1, prm) * A(1, 2, 1, prm)).letters
 
 
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 3)])
 def test_presentation_families(r, n):
-    rep = verify_presentation(params(r, n))
+    rep = verify_presentation(MonomialParams(r, n))
     assert rep.passed, rep.failures
 
 
 def test_presentation_zaza_base_product_is_central_power():
     # Z_1 A^{(1)} .. A^{(r-1)} Z_2 A^{(r)} = (rho_0 rho_1)^{2r}
     for r in (1, 2, 3):
-        prm = params(r, 2)
+        prm = MonomialParams(r, 2)
         prod = Z(1, prm)
         for p in range(1, r):
             prod = prod * A(1, 2, p, prm)
@@ -166,7 +166,7 @@ def test_presentation_zaza_base_product_is_central_power():
 
 @pytest.mark.parametrize("r,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_generators_free_factor(r, n):
-    rep = verify_generators_free_factor(params(r, n))
+    rep = verify_generators_free_factor(MonomialParams(r, n))
     assert rep.passed, rep.failures
 
 
@@ -183,7 +183,7 @@ def test_pbn_correspondence_r2(n):
 @pytest.mark.parametrize("r,n", [(1, 4), (2, 4), (3, 3)])
 def test_top_index_braids_satisfy_classical_relations(r, n):
     # the A^{(r)} family satisfies the classical pure braid relations verbatim
-    prm = params(r, n)
+    prm = MonomialParams(r, n)
     calc = BraidCalculator(prm.strands)
     a = {(i, j): A(i, j, r, prm) for j in range(2, n + 1) for i in range(1, j)}
     for j in range(2, n + 1):
@@ -204,9 +204,9 @@ def test_top_index_braids_satisfy_classical_relations(r, n):
 
 @pytest.mark.parametrize("r,n", [(4, 3), (5, 2)])
 def test_lemma_conj_higher_r(r, n):
-    assert verify_lemma_conj(params(r, n)).passed
+    assert verify_lemma_conj(MonomialParams(r, n)).passed
 
 
 @pytest.mark.parametrize("r,n", [(4, 3), (5, 2)])
 def test_presentation_higher_r(r, n):
-    assert verify_presentation(params(r, n)).passed
+    assert verify_presentation(MonomialParams(r, n)).passed
