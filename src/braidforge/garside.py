@@ -85,29 +85,32 @@ def complement(a: Simple) -> Simple:
 def _left_weight(a: Simple, b: Simple):
     """Left-weight the pair (a, b): returns (a', b') with a'b' = ab, or None.
 
-    The largest prefix c of b for which ac is still simple is the meet of b
-    and the complement of a: a pair of strands j < k may cross in c only if
-    it crosses in b and has not crossed in a.  Inserting the strands in turn
-    builds the final order of c, because every forced "j stays before k"
-    chain runs through indices between j and k: strand k goes right after
-    the last strand placed so far that it may not overtake.  Then
-    a' = ac and b' = c^-1 b.  None means c = 1: the pair is left-weighted.
+    If b is Delta, a Delta = Delta tau(a) gives (Delta, tau(a)), or None when
+    a is Delta too.  Otherwise the largest prefix c of b for which ac is
+    still simple is the meet of b and the complement of a: a pair of strands
+    j < k may cross in c only if it crosses in b and has not crossed in a.
+    Inserting the strands in turn builds the final order of c, because every
+    forced "j stays before k" chain runs through indices between j and k:
+    strand k goes right after the last strand placed so far that it may not
+    overtake.  The loop inserts the values of b and of a^-1 in that order,
+    so b' = c^-1 b is the first list and a' = ac inverts the second.  None
+    means c = 1: the pair is left-weighted.
     """
+    top = len(b) - 1
+    if b[0] == top and b == tuple(range(top, -1, -1)):
+        return None if a == b else (b, simple_tau(a))
     ai = _inverse_map(a)
-    order: list[int] = []
-    moved = False
+    bo: list[int] = []
+    ao: list[int] = []
     for k, bk in enumerate(b):
         ak = ai[k]
         p = k
-        while p and b[order[p - 1]] > bk and ai[order[p - 1]] < ak:
+        while p and bo[p - 1] > bk and ao[p - 1] < ak:
             p -= 1
-        if p < k:
-            moved = True
-        order.insert(p, k)
-    if not moved:
-        return None
-    c = _inverse_map(order)
-    return tuple(c[x] for x in a), tuple(b[m] for m in order)
+        bo.insert(p, bk)
+        ao.insert(p, ak)
+    b2 = tuple(bo)
+    return None if b2 == b else (tuple(_inverse_map(ao)), b2)
 
 
 class _Product:
@@ -115,6 +118,9 @@ class _Product:
 
     The stored factors F_i are kept untwisted: multiplying by Delta^-1 only
     flips ``twist``, and tau is applied to the factors once, in ``result``.
+    Each new factor is swept leftwards by ``_left_weight`` (one step carries a
+    Delta past a factor); a normal form multiplied onto no stored factors is
+    already left-weighted and is taken as it is, under tau if ``twist`` is odd.
     """
 
     def __init__(self, n: int):
@@ -181,8 +187,11 @@ class _Product:
 
     def form(self, y: NormalForm) -> None:
         self.delta_power(y.power)
-        for s in y.factors:
-            self.simple(s)
+        if self.factors:
+            for s in y.factors:
+                self.simple(s)
+        else:  # a normal form is already left-weighted
+            self.factors = [simple_tau(s) if self.twist else s for s in y.factors]
 
     def result(self) -> NormalForm:
         factors = self.factors

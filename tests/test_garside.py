@@ -1,4 +1,7 @@
 """The Garside normal form against the Artin representation as oracle."""
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,3 +108,67 @@ def test_simple_elements_and_sets():
     # sigma_1^-1 = Delta^-1 (sigma_1 sigma_2) in B_3
     assert nf(3, [-1]) == garside.NormalForm(3, -1, ((2, 0, 1),))
     assert nf(1, []) == garside.NormalForm(1, 0, ())
+
+
+def _left_weight_by_definition(a, b):
+    """Move sigma_i from b to a while it starts b and does not finish a."""
+    moved = False
+    while True:
+        movable = garside.starting_set(b) & ~garside.finishing_set(a)
+        if not movable:
+            return (a, b) if moved else None
+        i = (movable & -movable).bit_length()  # sigma_i swaps positions i-1, i
+        swap = {i - 1: i, i: i - 1}
+        a = tuple(swap.get(v, v) for v in a)
+        b = b[: i - 1] + (b[i], b[i - 1]) + b[i + 1 :]
+        moved = True
+
+
+@st.composite
+def simple_pairs(draw):
+    n = draw(st.integers(2, 9))
+    delta = tuple(range(n - 1, -1, -1))
+    simple = st.one_of(st.permutations(range(n)), st.just(delta), st.just(tuple(range(n))))
+    return tuple(draw(simple)), tuple(draw(simple))
+
+
+@settings(max_examples=500, deadline=None)
+@given(simple_pairs())
+def test_left_weight_matches_the_definition(pair):
+    a, b = pair
+    assert garside._left_weight(a, b) == _left_weight_by_definition(a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_left_weight_moves_delta_in_one_step(n):
+    delta = tuple(range(n - 1, -1, -1))
+    for a in itertools.islice(itertools.permutations(range(n)), 200):
+        if a != delta:
+            assert garside._left_weight(a, delta) == (delta, garside.simple_tau(a))
+    assert garside._left_weight(delta, delta) is None
+
+
+@st.composite
+def word_triples(draw):
+    n = draw(st.integers(5, 8))
+    return n, draw(words(n, 20)), draw(words(n, 20)), draw(words(n, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_triples())
+def test_product_keeps_the_first_operand(case):
+    """product() takes its first operand's factors as they are, under either Delta parity."""
+    n, w, y, z = case
+    w_inv = [-x for x in reversed(w)]
+    firsts = (w_inv, _delta_word(n) + w_inv)
+    forms = [nf(n, letters) for letters in firsts]
+    assert {f.power & 1 for f in forms} == {0, 1}
+    for letters, x in zip(firsts, forms):
+        got = garside.product(n, [x, nf(n, y), nf(n, z)])
+        assert got == nf(n, letters + y + z)
+        by_factor = garside._Product(n)
+        for f in (x, nf(n, y), nf(n, z)):
+            by_factor.delta_power(f.power)
+            for s in f.factors:
+                by_factor.simple(s)
+        assert got == by_factor.result()
