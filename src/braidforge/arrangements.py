@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from . import garside
 from . import monomial as mono
 from .braid import (
     BraidWord,
@@ -28,6 +29,7 @@ from .braid import (
     u_chain,
 )
 from .freegroup import Word, WordError, conjugate, invert, peel_conjugate, word
+from .garside import NormalForm, inverse
 from .liealg import HolonomyPresentation, holonomy_relations_from_flats
 from .report import Report
 from .wiring import RealLine, braid_monodromy, real_line, wiring_from_real_lines
@@ -385,6 +387,11 @@ def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
     return Presentation(tuple(gens), tuple(relations))
 
 
+def _word_text(w: Word, names) -> str:
+    """The word spelled in the generator names ``names``; the empty word is ``1``."""
+    return " ".join(names[abs(x) - 1] + ("" if x > 0 else "^-1") for x in w.letters) or "1"
+
+
 def format_presentation(pres: Presentation) -> str:
     lines = ["# generators: name (level, position)"]
     for g in pres.generators:
@@ -393,10 +400,7 @@ def format_presentation(pres: Presentation) -> str:
     for g in pres.generators:
         by_level.setdefault(g.level, []).append(g.name)
     for rel in pres.relations:
-        names = by_level[rel.level]
-        rhs = " ".join(
-            names[abs(x) - 1] + ("" if x > 0 else "^-1") for x in rel.rhs.letters
-        ) or "1"
+        rhs = _word_text(rel.rhs, by_level[rel.level])
         lines.append(f"{rel.conj}^-1 {rel.target} {rel.conj} = {rhs}")
     return "\n".join(lines) + "\n"
 
@@ -582,13 +586,6 @@ def _sym_word(syms: Iterable[tuple[BSym, int]], l: int) -> Word:
     return word(rank, letters)
 
 
-def _word_as_symbols(w: Word, l: int) -> str:
-    names = [_typeb_position_name(q, l) for q in range(1, 2 * l)]
-    if not w.letters:
-        return "1"
-    return " ".join(names[abs(x) - 1] + ("" if x > 0 else "^-1") for x in w.letters)
-
-
 def verify_pbn_table(n: int) -> Report:
     """Check the type-B action table against the computed monodromy.
 
@@ -623,7 +620,8 @@ def verify_pbn_table(n: int) -> Report:
             core = None
         if core != q:
             raise ArrangementError(f"image is not a conjugate of t{q}: {computed}")
-        detail = f"computed: w tw^-1 with w = {_word_as_symbols(w, l)}"
+        names = [_typeb_position_name(s, l) for s in range(1, 2 * l)]
+        detail = f"computed: w tw^-1 with w = {_word_text(w, names)}"
         if cell.emendation is not None:
             K = _sym_word(cell.emendation, l)
             expected = conjugate(Word(K.rank, (q,)), invert(K))
@@ -644,27 +642,27 @@ def verify_pbn_correspondence(n: int) -> Report:
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     prm = mono.MonomialParams(2, n)
-    calc = mono.BraidCalculator(prm.strands)
+    strands = prm.strands
 
-    def as_braid(sym: BSym) -> BraidWord:
+    def as_form(sym: BSym) -> NormalForm:
         kind, i, j = sym
         if kind == "c":
-            return mono.Z(j, prm)
+            return mono.Z(j, prm).form
         if kind == "a":
-            return mono.A(i, j, 2, prm)
-        return mono.A(i, j, 1, prm)
+            return mono.A(i, j, 2, prm).form
+        return mono.A(i, j, 1, prm).form
 
     report = Report(f"type-B table correspondence, n={n}")
     for cell in pbn_table_cells(n):
-        g = as_braid(cell.conj)
-        y = as_braid(cell.target)
-        lhs = calc.product(~g, y, g)
         if cell.conjugator is None:
             report.add(f"{cell.name} (no literal reading)", True, "computed only")
             continue
-        conj = calc.product(
-            *[as_braid(sym) if sign > 0 else calc.inverse(as_braid(sym))
-              for sym, sign in cell.conjugator]
+        g = as_form(cell.conj)
+        y = as_form(cell.target)
+        lhs = garside.product(strands, [inverse(g), y, g])
+        conj = garside.product(
+            strands,
+            [as_form(sym) if sign > 0 else inverse(as_form(sym)) for sym, sign in cell.conjugator],
         )
-        report.add(cell.name, lhs == calc.conjugated(conj, y))
+        report.add(cell.name, lhs == garside.product(strands, [conj, y, inverse(conj)]))
     return report

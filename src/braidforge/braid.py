@@ -7,9 +7,13 @@ under the right-action convention of :mod:`braidforge.freegroup`.
 
 Equality of braids is decided by Garside left normal form
 (:mod:`braidforge.garside`): two words are equal in the braid group exactly
-when their normal forms agree.  The Artin representation is kept for the
-places that print or inspect free-group images, and as an independent
-oracle in the tests.  :func:`artin` reads a word right to left: prefixing
+when their normal forms agree.  Each word carries its normal form as
+:attr:`BraidWord.form`, read from its letters on first use and kept with
+the word, so a block that is built once is normalised once; derived braids
+are products and inverses of these forms (:func:`garside.product`,
+:func:`garside.inverse`).  The Artin representation is kept for the places
+that print or inspect free-group images, and as an independent oracle in
+the tests.  :func:`artin` reads a word right to left: prefixing
 one letter to a word whose action is already known rewrites only the images
 of the two generators that letter moves, so each letter costs two images
 rather than n, and reduction happens only at the joins of reduced words.
@@ -17,10 +21,11 @@ rather than n, and reduction happens only at the joins of reduced words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .freegroup import Endomorphism, Word
-from .garside import normal_form
+from .garside import NormalForm, normal_form
 from .report import Report
 
 __all__ = [
@@ -62,6 +67,11 @@ class BraidWord:
             if x == 0 or abs(x) > self.strands - 1:
                 raise BraidError(f"letter {x} out of range for {self.strands} strands")
 
+    @cached_property
+    def form(self) -> NormalForm:
+        """Garside left normal form of the word, read from its letters once."""
+        return normal_form(self.strands, self.letters)
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise BraidError(f"strand mismatch: {self.strands} != {other.strands}")
@@ -89,6 +99,8 @@ def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
         if n is None:
             raise BraidError("empty product needs an explicit strand count")
         return empty_braid(n)
+    if len(braids) == 1:  # the word itself, with its normal form if known
+        return braids[0]
     strands = braids[0].strands
     for b in braids:
         if b.strands != strands:
@@ -142,7 +154,7 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """True iff the two words define the same element of B_n."""
     if a.strands != b.strands:
         raise BraidError(f"strand mismatch: {a.strands} != {b.strands}")
-    return normal_form(a.strands, a.letters) == normal_form(b.strands, b.letters)
+    return a.form == b.form
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ params), and every suite calls the builders directly.
 
 Relations are decided by Garside left normal form (:mod:`braidforge.garside`),
 never through Artin images.  Because the derived words grow quickly under
-conjugation, each verifier builds a :class:`BraidCalculator` that caches the
-normal form of every named block and multiplies normal forms instead of
-re-scanning long letter sequences.
+conjugation, the suites never flatten them into letters: each named block
+carries its normal form (:attr:`BraidWord.form`, kept with the cached block,
+so it is read from the letters once per process), inverses come from
+:func:`garside.inverse`, and conjugates, chains and cyclic products are
+products of these forms.
 """
 from __future__ import annotations
 
@@ -21,14 +23,15 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import garside
-from .braid import BraidWord, BraidError, empty_braid, linking_pairs, permutation, product
-from .garside import NormalForm, inverse, normal_form
+from .braid import (
+    BraidWord, BraidError, braid_equal, empty_braid, linking_pairs, permutation, product
+)
+from .garside import NormalForm, inverse
 from .liealg import _rank_of_rows
 from .report import Report
 
 __all__ = [
     "MonomialParams",
-    "BraidCalculator",
     "tau",
     "rho",
     "X",
@@ -181,14 +184,10 @@ def lemma_conj_D(k: int, l: int, prm: MonomialParams) -> BraidWord:
     return product([D(k, prm)] + tail, prm.strands)
 
 
-def _q_factors(j: int, p: int, prm: MonomialParams) -> list[BraidWord]:
-    """The factors C_j, W_{i,j} A^{(q)}_{i,j} W_{i,j}^-1, ... whose product is Q_{j,p}."""
-    factors = [C(j, prm)]
-    for q in range(1, p + 1):
-        for i in range(1, j):
-            w = lemma_conj_D(i, j, prm)
-            factors += [w, A(i, j, q, prm), ~w]
-    return factors
+def _q_conjugates(j: int, p: int, prm: MonomialParams) -> list[tuple[BraidWord, BraidWord]]:
+    """The pairs (W_{i,j}, A^{(q)}_{i,j}) whose conjugates W A W^-1 follow C_j in Q_{j,p}."""
+    return [(lemma_conj_D(i, j, prm), A(i, j, q, prm))
+            for q in range(1, p + 1) for i in range(1, j)]
 
 
 def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
@@ -201,49 +200,19 @@ def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
         raise BraidError(f"Q index {j} out of range for n={prm.n}")
     if p < 0 or p > prm.r:
         raise BraidError(f"Q exponent p={p} out of range for r={prm.r}")
-    return product(_q_factors(j, p, prm), prm.strands)
+    factors = [C(j, prm)]
+    for w, a in _q_conjugates(j, p, prm):
+        factors += [w, a, ~w]
+    return product(factors, prm.strands)
 
 
-class BraidCalculator:
-    """Caches Garside normal forms of braid words and multiplies them.
+def _conjugated(n: int, conj: NormalForm, mid: NormalForm) -> NormalForm:
+    """Normal form of conj mid conj^-1."""
+    return garside.product(n, [conj, mid, inverse(conj)])
 
-    Each named block is normalised once from its letters, and its inverse
-    comes free from the normal form.  Derived words (conjugates, chains,
-    cyclic products) are products of cached forms, so no long letter
-    sequence is ever flattened and re-read.  Arguments may be braid words
-    or normal forms.
-    """
 
-    def __init__(self, strands: int):
-        self.strands = strands
-        self._cache: dict[tuple[int, ...], NormalForm] = {}
-
-    def form(self, b) -> NormalForm:
-        if isinstance(b, NormalForm):
-            return b
-        nf = self._cache.get(b.letters)
-        if nf is None:
-            nf = normal_form(b.strands, b.letters)
-            self._cache[b.letters] = nf
-            self._cache[tuple(-x for x in reversed(b.letters))] = inverse(nf)
-        return nf
-
-    def product(self, *factors) -> NormalForm:
-        """Normal form of the product of the braid words / normal forms given."""
-        return garside.product(self.strands, [self.form(f) for f in factors])
-
-    def inverse(self, b) -> NormalForm:
-        return inverse(self.form(b))
-
-    def conjugated(self, conj, mid) -> NormalForm:
-        """Normal form of conj * mid * conj^-1."""
-        return self.product(conj, mid, self.inverse(conj))
-
-    def equal(self, a, b) -> bool:
-        return self.form(a) == self.form(b)
-
-    def commute(self, a, b) -> bool:
-        return self.product(a, b) == self.product(b, a)
+def _commute(n: int, a: NormalForm, b: NormalForm) -> bool:
+    return garside.product(n, [a, b]) == garside.product(n, [b, a])
 
 
 def monomial_relation_instances(prm: MonomialParams) -> list[tuple[str, BraidWord, BraidWord]]:
@@ -268,10 +237,9 @@ def monomial_relation_instances(prm: MonomialParams) -> list[tuple[str, BraidWor
 
 def verify_monomial_relations(prm: MonomialParams) -> Report:
     """Check the defining relations among rho_0, ..., rho_{n-1}."""
-    calc = BraidCalculator(prm.strands)
     report = Report(f"monomial braid relations, r={prm.r}, n={prm.n}")
     for name, lhs, rhs in monomial_relation_instances(prm):
-        report.add(name, calc.equal(lhs, rhs))
+        report.add(name, braid_equal(lhs, rhs))
     return report
 
 
@@ -279,61 +247,58 @@ def verify_lemma_conj(prm: MonomialParams) -> Report:
     """Check the conjugation case table for X_i acting on Z_l and A^{(r)}_{k,l}."""
     if prm.n < 2:
         raise BraidError("need n >= 2")
-    r = prm.r
-    calc = BraidCalculator(prm.strands)
+    r, strands = prm.r, prm.strands
     report = Report(f"conjugation lemma, r={r}, n={prm.n}")
     # A^{(r-1)} is built by _A_any_p, not A: p = r-1 degenerates to p = 0 at
     # r = 1, and the defining formula extends.
     for i in range(1, prm.n + 1):
-        xi = X(i, prm)
+        xi = X(i, prm).form
+        xi_inv = inverse(xi)
         for l in range(1, prm.n + 1):
-            lhs = calc.product(~xi, Z(l, prm), xi)
+            z = Z(l, prm).form
+            lhs = garside.product(strands, [xi_inv, z, xi])
             if l < i:
-                rhs = calc.form(Z(l, prm))
+                rhs = z
                 case = "l<i"
             elif l == i:
-                rhs = calc.conjugated(~C(l, prm), Z(l, prm))
+                rhs = _conjugated(strands, inverse(C(l, prm).form), z)
                 case = "l=i"
             else:
-                rhs = calc.conjugated(_A_any_p(i, l, r - 1, prm), Z(l, prm))
+                rhs = _conjugated(strands, _A_any_p(i, l, r - 1, prm).form, z)
                 case = "l>i"
-            report.add(f"X[{i}]^-1 Z[{l}] X[{i}] ({case})", calc.equal(lhs, rhs))
+            report.add(f"X[{i}]^-1 Z[{l}] X[{i}] ({case})", lhs == rhs)
         for k in range(1, prm.n + 1):
             for l in range(k + 1, prm.n + 1):
-                lhs = calc.product(~xi, A(k, l, r, prm), xi)
+                a = A(k, l, r, prm).form
+                lhs = garside.product(strands, [xi_inv, a, xi])
                 if i < k or i > l:
-                    rhs = calc.form(A(k, l, r, prm))
+                    rhs = a
                     case = "i<k or i>l"
                 elif i == k:
-                    rhs = calc.form(_A_any_p(k, l, r - 1, prm))
+                    rhs = _A_any_p(k, l, r - 1, prm).form
                     case = "i=k"
                 elif k < i < l:
-                    rhs = calc.conjugated(_A_any_p(i, l, r - 1, prm), A(k, l, r, prm))
+                    rhs = _conjugated(strands, _A_any_p(i, l, r - 1, prm).form, a)
                     case = "k<i<l"
                 else:
-                    rhs = calc.conjugated(lemma_conj_D(k, l, prm), A(k, l, 1, prm))
+                    rhs = _conjugated(strands, lemma_conj_D(k, l, prm).form, A(k, l, 1, prm).form)
                     case = "i=l"
-                report.add(
-                    f"X[{i}]^-1 A[{k},{l};{r}] X[{i}] ({case})",
-                    calc.equal(lhs, rhs),
-                )
+                report.add(f"X[{i}]^-1 A[{k},{l};{r}] X[{i}] ({case})", lhs == rhs)
     return report
 
 
-def _family_holds(calc: BraidCalculator, elements, report: Report, label: str) -> None:
+def _family_holds(strands: int, elements: list[list[NormalForm]], report: Report,
+                  label: str) -> None:
     """Commutation family [g_1, ..., g_m]: all cyclic products agree.
 
     Equivalent to the full product commuting with each of g_1 .. g_{m-1};
     each of those m-1 commutations is recorded as one check.  Elements are
-    factor lists of braid words.
+    factor lists of normal forms.
     """
-    flat: list[BraidWord] = []
-    for el in elements:
-        flat.extend(el)
-    prod = calc.product(*flat)
-    forms = [calc.product(*el) for el in elements]
-    for k, e in enumerate(forms[:-1]):
-        report.add(f"{label} rotation {k+1}", calc.commute(prod, e))
+    prod = garside.product(strands, [f for el in elements for f in el])
+    for k, el in enumerate(elements[:-1]):
+        e = garside.product(strands, el)
+        report.add(f"{label} rotation {k+1}", _commute(strands, prod, e))
 
 
 def verify_presentation(prm: MonomialParams) -> Report:
@@ -348,27 +313,33 @@ def verify_presentation(prm: MonomialParams) -> Report:
     """
     if prm.n < 2:
         raise BraidError("need n >= 2")
-    r, n = prm.r, prm.n
-    calc = BraidCalculator(prm.strands)
+    r, n, strands = prm.r, prm.n, prm.strands
     report = Report(f"pure monomial presentation, r={r}, n={n}")
 
-    def conj_factors(conj: list[BraidWord], mid: BraidWord) -> list[BraidWord]:
-        return conj + [mid] + [~f for f in reversed(conj)]
+    def conj_factors(conj: list[NormalForm], mid: BraidWord) -> list[NormalForm]:
+        return conj + [mid.form] + [inverse(f) for f in reversed(conj)]
+
+    def q_factors(j: int, p: int) -> list[NormalForm]:
+        # the factors of Q_{j,p}, as in Q
+        out = [C(j, prm).form]
+        for w, a in _q_conjugates(j, p, prm):
+            out += [w.form, a.form, inverse(w.form)]
+        return out
 
     # Z_j .. Z_l family; A^{(p)} is conjugated by Q_{j,r-1-p}, with Q_{j,0} = C_j.
     # The (1,2) instance is checked by direct rotation; the general instance
     # is its conjugate by w = rho_{l-1}..rho_{j+1} nu_j, so it suffices that
     # every element match the w-conjugate of the base element.
     base_elems = (
-        [[Z(1, prm)]]
-        + [[A(1, 2, p, prm)] for p in range(1, r)]
-        + [[Z(2, prm)], [A(1, 2, r, prm)]]
+        [[Z(1, prm).form]]
+        + [[A(1, 2, p, prm).form] for p in range(1, r)]
+        + [[Z(2, prm).form], [A(1, 2, r, prm).form]]
     )
-    _family_holds(calc, base_elems, report, f"[Z1,A..A,Z2,A(1,2;{r})]")
-    base_forms = [calc.product(*el) for el in base_elems]
+    _family_holds(strands, base_elems, report, f"[Z1,A..A,Z2,A(1,2;{r})]")
+    base_forms = [garside.product(strands, el) for el in base_elems]
 
     # nu_j = rho_1 .. rho_j nu_{j-1}, with nu_1 = 1
-    nus = {1: empty_braid(prm.strands)}
+    nus = {1: empty_braid(strands)}
     for j in range(2, n):
         nus[j] = product([rho(s, prm) for s in range(1, j + 1)] + [nus[j - 1]])
 
@@ -378,17 +349,14 @@ def verify_presentation(prm: MonomialParams) -> Report:
                 continue
             w = product([rho(s, prm) for s in range(l - 1, j, -1)] + [nus[j]])
             elems = (
-                [[Z(j, prm)]]
-                + [
-                    conj_factors(_q_factors(j, r - 1 - p, prm), A(j, l, p, prm))
-                    for p in range(1, r)
-                ]
-                + [[Z(l, prm)], [A(j, l, r, prm)]]
+                [[Z(j, prm).form]]
+                + [conj_factors(q_factors(j, r - 1 - p), A(j, l, p, prm)) for p in range(1, r)]
+                + [[Z(l, prm).form], [A(j, l, r, prm).form]]
             )
             label = f"[Z{j},Q.A..Q,Z{l},A({j},{l};{r})]"
             for s, el in enumerate(elems):
-                lhs = calc.product(*el)
-                rhs = calc.conjugated(w, base_forms[s])
+                lhs = garside.product(strands, el)
+                rhs = _conjugated(strands, w.form, base_forms[s])
                 report.add(f"{label} element {s+1} conjugates from base", lhs == rhs)
 
     # Z against A with all three relative positions of the Z index.  A Z above
@@ -400,22 +368,24 @@ def verify_presentation(prm: MonomialParams) -> Report:
                 for l in range(k + 1, n + 1):
                     report.add(
                         f"[Z{i}, A({k},{l};{p})]",
-                        calc.commute(Z(i, prm), A(k, l, p, prm)),
+                        _commute(strands, Z(i, prm).form, A(k, l, p, prm).form),
                     )
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
-                    zk = calc.conjugated(Abracket(i, k, p, prm), Z(k, prm))
+                    zk = _conjugated(strands, Abracket(i, k, p, prm).form, Z(k, prm).form)
                     report.add(
                         f"[A({i},{j};{p}), Abr({i},{k};{p}) Z{k} .]",
-                        calc.commute(A(i, j, p, prm), zk),
+                        _commute(strands, A(i, j, p, prm).form, zk),
                     )
-                    lhs = calc.conjugated(Abracket(i, j, p, prm), Z(j, prm))
-                    chain = [A(s, k, r, prm) for s in range(i + 1, j + 1)]
-                    conjd = calc.conjugated(calc.inverse(calc.product(*chain)), A(i, k, p, prm))
+                    lhs = _conjugated(strands, Abracket(i, j, p, prm).form, Z(j, prm).form)
+                    chain = [A(s, k, r, prm).form for s in range(i + 1, j + 1)]
+                    conjd = _conjugated(
+                        strands, inverse(garside.product(strands, chain)), A(i, k, p, prm).form
+                    )
                     report.add(
                         f"[Abr({i},{j};{p}) Z{j} ., A({i},{k};{p})^(A..A)]",
-                        calc.commute(lhs, conjd),
+                        _commute(strands, lhs, conjd),
                     )
 
     # A against A: disjoint, nested, and linked pairs.
@@ -427,22 +397,25 @@ def verify_presentation(prm: MonomialParams) -> Report:
                         for l in range(k + 1, n + 1):
                             report.add(
                                 f"[A({i},{j};{p}), A({k},{l};{q})]",
-                                calc.commute(A(i, j, p, prm), A(k, l, q, prm)),
+                                _commute(strands, A(i, j, p, prm).form, A(k, l, q, prm).form),
+                            )
+                            nested = _conjugated(
+                                strands, Abracket(j, l, p, prm).form, A(i, l, q, prm).form
                             )
                             report.add(
                                 f"[A({j},{k};{p}), Abr A({i},{l};{q}) Abr^-1]",
-                                calc.commute(
-                                    A(j, k, p, prm),
-                                    calc.conjugated(Abracket(j, l, p, prm), A(i, l, q, prm)),
-                                ),
+                                _commute(strands, A(j, k, p, prm).form, nested),
                             )
-                            lhs = calc.conjugated(Abracket(j, k, p, prm), A(i, k, q, prm))
-                            rhs = calc.product(
-                                ~A(k, l, r, prm), A(j, l, p, prm), A(k, l, r, prm)
+                            lhs = _conjugated(
+                                strands, Abracket(j, k, p, prm).form, A(i, k, q, prm).form
+                            )
+                            akl = A(k, l, r, prm).form
+                            rhs = garside.product(
+                                strands, [inverse(akl), A(j, l, p, prm).form, akl]
                             )
                             report.add(
                                 f"[Abr A({i},{k};{q}) Abr^-1, A({j},{l};{p})^A({k},{l};{r})]",
-                                calc.commute(lhs, rhs),
+                                _commute(strands, lhs, rhs),
                             )
 
     # Triple families.
@@ -451,16 +424,16 @@ def verify_presentation(prm: MonomialParams) -> Report:
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
                     _family_holds(
-                        calc,
-                        [[A(i, j, p, prm)], [A(i, k, p, prm)], [A(j, k, r, prm)]],
+                        strands,
+                        [[A(i, j, p, prm).form], [A(i, k, p, prm).form], [A(j, k, r, prm).form]],
                         report,
                         f"[A({i},{j};{p}), A({i},{k};{p}), A({j},{k};{r})]",
                     )
 
-    def bracket_chain(i: int, j: int, k: int, q: int) -> list[BraidWord]:
+    def bracket_chain(i: int, j: int, k: int, q: int) -> list[NormalForm]:
         # descending m = j-1 .. i+1, the order of the A^{[1]}_{m,k} factors of D_k
-        lower = [Abracket(m, k, r - q, prm) for m in range(j - 1, i, -1)]
-        return [Abracket(j, k, r - q + 1, prm)] + lower
+        lower = [Abracket(m, k, r - q, prm).form for m in range(j - 1, i, -1)]
+        return [Abracket(j, k, r - q + 1, prm).form] + lower
 
     for p in range(1, r + 1):
         for q in range(1, p):
@@ -468,12 +441,12 @@ def verify_presentation(prm: MonomialParams) -> Report:
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
                         elems = [
-                            [A(i, j, p, prm)],
-                            [A(j, k, r - q, prm)],
+                            [A(i, j, p, prm).form],
+                            [A(j, k, r - q, prm).form],
                             conj_factors(bracket_chain(i, j, k, q), A(i, k, p - q, prm)),
                         ]
                         _family_holds(
-                            calc,
+                            strands,
                             elems,
                             report,
                             f"[A({i},{j};{p}), A({j},{k};{r-q}), . A({i},{k};{p-q}) .]",
@@ -484,12 +457,12 @@ def verify_presentation(prm: MonomialParams) -> Report:
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
                         elems = [
-                            conj_factors([D(i, prm)], A(i, j, p, prm)),
-                            [A(j, k, r - q, prm)],
+                            conj_factors([D(i, prm).form], A(i, j, p, prm)),
+                            [A(j, k, r - q, prm).form],
                             conj_factors(bracket_chain(i, j, k, q), A(i, k, r - q + p, prm)),
                         ]
                         _family_holds(
-                            calc,
+                            strands,
                             elems,
                             report,
                             f"[D A({i},{j};{p}) D^-1, A({j},{k};{r-q}), . A({i},{k};{r-q+p}) .]",

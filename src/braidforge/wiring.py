@@ -217,9 +217,8 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
     factors = []
     for block in g.nontrivial_blocks():
         mu = permutation_braid_mu(sorted(perm_inv(s) for s in block), n)
-        factors.append(garside.normal_form(n, (~g.conjugator * mu * mu * g.conjugator).letters))
-    target = garside.normal_form(n, g.braid.letters)
-    report.add("per-block product", garside.product(n, factors) == target)
+        factors.append((~g.conjugator * mu * mu * g.conjugator).form)
+    report.add("per-block product", garside.product(n, factors) == g.braid.form)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             report.add(

@@ -8,7 +8,7 @@ import random
 import time
 
 from braidforge import arrangements as arr
-from braidforge import liealg
+from braidforge import garside, liealg
 from braidforge import monomial as mono
 from braidforge.braid import (
     artin,
@@ -22,6 +22,7 @@ from braidforge.braid import (
     verify_pure_braid_relations,
 )
 from braidforge.freegroup import commutator, compose, invert, multiply, word
+from braidforge.garside import inverse
 from braidforge.wiring import WiringDiagram, braid_monodromy, partition
 
 
@@ -146,21 +147,22 @@ def test_criterion_6_presentation_families():
         # r=1 degeneration: the braids satisfy the classical pure braid
         # relation instances verbatim
         prm = mono.MonomialParams(1, 4)
-        calc = mono.BraidCalculator(prm.strands)
-        a = {(i, j): mono.A(i, j, 1, prm) for j in range(2, 5) for i in range(1, j)}
+        a = {(i, j): mono.A(i, j, 1, prm).form for j in range(2, 5) for i in range(1, j)}
         for j in range(2, 5):
             for i in range(1, j):
                 for l in range(j + 1, 5):
                     for k in range(1, l):
                         conj = a[i, j]
-                        lhs = calc.product(~conj, a[k, l], conj)
+                        lhs = garside.product(prm.strands, [inverse(conj), a[k, l], conj])
                         if k == i or k == j:
                             c = [a[i, l], a[j, l]]
                         elif i < k < j:
-                            c = [a[i, l], a[j, l], ~a[i, l], ~a[j, l]]
+                            c = [a[i, l], a[j, l], inverse(a[i, l]), inverse(a[j, l])]
                         else:
                             c = []
-                        rhs = calc.product(*c, a[k, l], *[~x for x in reversed(c)])
+                        rhs = garside.product(
+                            prm.strands, c + [a[k, l]] + [inverse(x) for x in reversed(c)]
+                        )
                         assert lhs == rhs, (i, j, k, l)
 
 

@@ -277,6 +277,9 @@ def test_verify_purebraid():
     code, out = run_cli("verify", "purebraid", "--n", "3")
     assert code == 0
     assert "checks passed" in out
+    # argparse rejects every other target before a command runs
+    code, out = run_cli("verify", "braid", "--n", "3")
+    assert code == 2 and out == ""
 
 
 def test_guards():
@@ -312,9 +315,21 @@ def test_monodromy_golden_file():
     assert out == _golden("golden_b2_monodromy.txt")
 
 
-@pytest.mark.parametrize("suite", ["presentation", "lemma-conj"])
-def test_monomial_suite_golden_file(suite):
-    # pins every check name, its order and its verdict at (3,4)
-    code, out = run_cli("monomial", "--r", "3", "--n", "4", "--verify", suite)
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        pytest.param("monomial --r 3 --n 4 --verify presentation",
+                     "golden_monomial_r3_n4_presentation.txt", id="presentation"),
+        pytest.param("monomial --r 3 --n 4 --verify lemma-conj",
+                     "golden_monomial_r3_n4_lemma_conj.txt", id="lemma-conj"),
+        pytest.param("monomial --r 3 --n 5 --verify relations",
+                     "golden_monomial_r3_n5_relations.txt", id="relations"),
+        pytest.param("typeb --n 4 --verify", "golden_typeb_n4_verify.txt", id="typeb"),
+        pytest.param("verify purebraid --n 5", "golden_purebraid_n5.txt", id="purebraid"),
+    ],
+)
+def test_monomial_suite_golden_file(argv, golden):
+    # pins every check name, its order and its verdict of each braid-equality suite
+    code, out = run_cli(*argv.split())
     assert code == 0
-    assert out == _golden(f"golden_monomial_r3_n4_{suite.replace('-', '_')}.txt")
+    assert out == _golden(golden)

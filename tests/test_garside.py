@@ -66,6 +66,16 @@ def test_inverse_matches_normal_form_of_inverse_word(pair):
     assert mul(nf(n, a), inv) == garside.NormalForm(n, 0, ())
 
 
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_braid_word_carries_its_normal_form(pair):
+    n, a, _ = pair
+    b = BraidWord(n, tuple(a))
+    assert b.form == nf(n, a)
+    assert b.form is b.form  # read from the letters once, then kept
+    assert (~b).form == garside.inverse(b.form)
+
+
 def _delta_word(n):
     # Delta = (s1)(s2 s1)(s3 s2 s1)...
     return [g for top in range(1, n) for g in range(top, 0, -1)]

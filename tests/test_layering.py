@@ -98,32 +98,47 @@ def _public_names(tree: ast.Module) -> list[str]:
     return []
 
 
-def _references() -> set[tuple[str, str]]:
-    """(module, name) pairs read anywhere in the package outside that name's own definition.
+def _resolver(module: str, tree: ast.Module):
+    """A function giving the (module, name) a Name or ``mod.name`` node reads, else None.
 
     A bare name resolves through the reading module's relative imports, and
     ``mod.name`` counts when ``mod`` is a package module bound by
     ``from . import``.
     """
+    origin, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module:
+                    origin[alias.asname or alias.name] = (node.module, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+
+    def resolve(node: ast.AST):
+        if isinstance(node, ast.Name):
+            return origin.get(node.id, (module, node.id))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return (modules[node.value.id], node.attr)
+        return None
+
+    return resolve
+
+
+def _references() -> set[tuple[str, str]]:
+    """(module, name) pairs read anywhere in the package outside that name's own definition."""
     refs: set[tuple[str, str]] = set()
     for module in ORDER:
         tree = _tree(module)
-        origin, modules = {}, {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                for alias in node.names:
-                    if node.module:
-                        origin[alias.asname or alias.name] = (node.module, alias.name)
-                    else:
-                        modules[alias.asname or alias.name] = alias.name
+        resolve = _resolver(module, tree)
         for stmt in tree.body:
             own = _defined_names(ast.Module(body=[stmt], type_ignores=[]))
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and node.id not in own:
-                    refs.add(origin.get(node.id, (module, node.id)))
-                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id in modules):
-                    refs.add((modules[node.value.id], node.attr))
+                if isinstance(node, ast.Name) and node.id in own:
+                    continue
+                target = resolve(node)
+                if target is not None:
+                    refs.add(target)
     return refs
 
 
@@ -143,3 +158,28 @@ def test_public_names_are_read_or_test_facing():
     assert not unread, f"public names nothing in the package reads: {unread}"
     stale = sorted(set(TEST_FACING) - {f"{m}.{name}" for m, name in public - refs})
     assert not stale, f"TEST_FACING lists names that are not public or already read: {stale}"
+
+
+def _readers(target: tuple[str, str]) -> set[str]:
+    """The ``module.Class.function`` paths in the package that read ``target``."""
+    found = set()
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module in ORDER:
+        tree = _tree(module)
+        resolve = _resolver(module, tree)
+
+        def visit(node: ast.AST, path: str) -> None:
+            if resolve(node) == target:
+                found.add(path)
+            for child in ast.iter_child_nodes(node):
+                visit(child, f"{path}.{child.name}" if isinstance(child, scopes) else path)
+
+        visit(tree, module)
+    return found
+
+
+def test_only_braid_words_normalise_letters():
+    # BraidWord.form is the one place letters become a Garside normal form:
+    # everything else multiplies and inverts forms, so a block built once
+    # is normalised once
+    assert _readers(("garside", "normal_form")) == {"braid.BraidWord.form"}

@@ -2,10 +2,10 @@ import pytest
 
 from braidforge.arrangements import verify_pbn_correspondence
 from braidforge.braid import braid_equal, linking_pairs, permutation
+from braidforge.garside import inverse, product
 from braidforge.monomial import (
     A,
     Abracket,
-    BraidCalculator,
     C,
     D,
     MonomialParams,
@@ -184,21 +184,20 @@ def test_pbn_correspondence_r2(n):
 def test_top_index_braids_satisfy_classical_relations(r, n):
     # the A^{(r)} family satisfies the classical pure braid relations verbatim
     prm = MonomialParams(r, n)
-    calc = BraidCalculator(prm.strands)
-    a = {(i, j): A(i, j, r, prm) for j in range(2, n + 1) for i in range(1, j)}
+    a = {(i, j): A(i, j, r, prm).form for j in range(2, n + 1) for i in range(1, j)}
     for j in range(2, n + 1):
         for i in range(1, j):
             for l in range(j + 1, n + 1):
                 for k in range(1, l):
                     conj = a[i, j]
-                    lhs = calc.product(~conj, a[k, l], conj)
+                    lhs = product(prm.strands, [inverse(conj), a[k, l], conj])
                     if k == i or k == j:
                         c = [a[i, l], a[j, l]]
                     elif i < k < j:
-                        c = [a[i, l], a[j, l], ~a[i, l], ~a[j, l]]
+                        c = [a[i, l], a[j, l], inverse(a[i, l]), inverse(a[j, l])]
                     else:
                         c = []
-                    rhs = calc.product(*c, a[k, l], *[~x for x in reversed(c)])
+                    rhs = product(prm.strands, c + [a[k, l]] + [inverse(x) for x in reversed(c)])
                     assert lhs == rhs, (i, j, k, l)
 
 
