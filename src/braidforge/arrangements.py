@@ -572,46 +572,34 @@ def _table_cell(g: BSym, y: BSym, j: int, l: int) -> TableCell:
     return TableCell(name, l, g, y, None if K is None else tuple(K), emend)
 
 
-def _sym_position(sym: BSym, l: int) -> int:
-    if sym.kind == "b":
-        return l - sym.i
-    if sym.kind == "c":
-        return l
-    return l + sym.i
-
-
-def _sym_word(syms: Iterable[tuple[BSym, int]], l: int) -> Word:
-    rank = 2 * l - 1
-    letters = [sign * _sym_position(sym, l) for sym, sign in syms]
-    return word(rank, letters)
+def _conjugate_of(syms: Iterable[tuple[BSym, int]], names: tuple[str, ...], q: int) -> Word:
+    """K t_q K^-1 as a reduced word, K spelled over a level's generator names."""
+    K = word(len(names), [sign * (names.index(sym.label()) + 1) for sym, sign in syms])
+    return conjugate(Word(K.rank, (q,)), invert(K))
 
 
 def verify_pbn_table(n: int) -> Report:
-    """Check the type-B action table against the computed monodromy.
+    """Check the type-B action table against the relations ``present typeb`` prints.
 
-    Each literal cell is evaluated as reduced words; the two cells without a
-    well-formed printed conjugator are reported informationally with the
-    computed right-hand side (and, for the c-on-b cell, whether the c_l
-    emendation matches).
+    Each cell g^-1 y g is the left-hand side of one relation of
+    ``assemble_presentation(build_typeb_tower(n))``; its right-hand side is
+    read from there, and positions and names from the level's generator
+    names.  Each literal cell is compared as reduced words; the two cells
+    without a well-formed printed conjugator are reported informationally
+    with the computed right-hand side (and, for the c-on-b cell, whether the
+    c_l emendation matches).
     """
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     report = Report(f"type-B action table, n={n}")
-    # every level-l cell conjugates by a meridian of chi_{l-1}: one Artin
-    # image per meridian serves all the cells it conjugates
-    etas = {
-        l: {g: artin(braid) for g, braid in typeb_monodromy_closed(l - 1).items()}
-        for l in range(2, n + 1)
-    }
+    tower = build_typeb_tower(n)
+    rhs = {(rel.conj, rel.target): rel.rhs for rel in assemble_presentation(tower).relations}
     for cell in pbn_table_cells(n):
-        l = cell.l
-        eta = etas[l][cell.conj]
-        q = _sym_position(cell.target, l)
-        computed = eta.images[q - 1]
+        names = tower[cell.l - 1].gen_names
+        q = names.index(cell.target.label()) + 1
+        computed = rhs[cell.conj.label(), cell.target.label()]
         if cell.conjugator is not None:
-            K = _sym_word(cell.conjugator, l)
-            expected = conjugate(Word(K.rank, (q,)), invert(K))
-            report.add(cell.name, computed == expected)
+            report.add(cell.name, computed == _conjugate_of(cell.conjugator, names, q))
             continue
         # no literal reading: peel the computed conjugator and report it
         try:
@@ -620,12 +608,10 @@ def verify_pbn_table(n: int) -> Report:
             core = None
         if core != q:
             raise ArrangementError(f"image is not a conjugate of t{q}: {computed}")
-        names = [_typeb_position_name(s, l) for s in range(1, 2 * l)]
         detail = f"computed: w tw^-1 with w = {_word_text(w, names)}"
         if cell.emendation is not None:
-            K = _sym_word(cell.emendation, l)
-            expected = conjugate(Word(K.rank, (q,)), invert(K))
-            detail += "; c_l reading %s" % ("matches" if expected == computed else "differs")
+            matches = _conjugate_of(cell.emendation, names, q) == computed
+            detail += "; c_l reading %s" % ("matches" if matches else "differs")
         report.add(f"{cell.name} [no literal reading]", True, detail)
     return report
 

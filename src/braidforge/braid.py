@@ -21,7 +21,7 @@ rather than n, and reduction happens only at the joins of reduced words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .freegroup import Endomorphism, Word
@@ -89,23 +89,31 @@ def braid(n: int, letters: Iterable[int]) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
+@cache
 def empty_braid(n: int) -> BraidWord:
+    """The trivial braid on n strands: one shared word, so one normal form."""
     return BraidWord(n, ())
 
 
 def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
-    """The words concatenated left to right; an empty product needs the strand count n."""
+    """The words concatenated left to right; an empty product needs the strand count n.
+
+    Empty factors are dropped, so a product with one nontrivial factor is
+    that word, and one with none is the shared empty word: either way its
+    normal form is read once.
+    """
     if not braids:
         if n is None:
             raise BraidError("empty product needs an explicit strand count")
         return empty_braid(n)
-    if len(braids) == 1:  # the word itself, with its normal form if known
-        return braids[0]
     strands = braids[0].strands
     for b in braids:
         if b.strands != strands:
             raise BraidError(f"strand mismatch: {strands} != {b.strands}")
-    return BraidWord(strands, tuple(x for b in braids for x in b.letters))
+    factors = [b for b in braids if b.letters]
+    if len(factors) <= 1:
+        return factors[0] if factors else empty_braid(strands)
+    return BraidWord(strands, tuple(x for b in factors for x in b.letters))
 
 
 def _conjugate(x: list[int], y: list[int], x_inv: list[int], neg: dict[int, int]) -> list[int]:
@@ -267,25 +275,6 @@ def linking_pairs(b: BraidWord) -> dict[tuple[int, int], int]:
     return out
 
 
-def braid_relation_instances(n: int) -> list[tuple[str, BraidWord, BraidWord]]:
-    """All defining relations of B_n as (name, lhs, rhs) word pairs."""
-    if n < 2:
-        raise BraidError("need n >= 2")
-    out = []
-    for i in range(1, n - 1):
-        out.append(
-            (
-                f"s{i} s{i+1} s{i} = s{i+1} s{i} s{i+1}",
-                braid(n, (i, i + 1, i)),
-                braid(n, (i + 1, i, i + 1)),
-            )
-        )
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            out.append((f"s{i} s{j} = s{j} s{i}", braid(n, (i, j)), braid(n, (j, i))))
-    return out
-
-
 def _pure_rel_rhs(i: int, j: int, k: int, l: int, n: int) -> BraidWord:
     A = lambda a, b: pure_gen(a, b, n)
     if k == i or k == j:
@@ -298,43 +287,43 @@ def _pure_rel_rhs(i: int, j: int, k: int, l: int, n: int) -> BraidWord:
     return c * A(k, l) * ~c
 
 
-def pure_braid_relation_instances(n: int) -> list[tuple[str, BraidWord, BraidWord]]:
-    """All pure braid relation instances A_{i,j}^-1 A_{k,l} A_{i,j} = rhs."""
+def verify_braid_relations(n: int) -> Report:
+    """Check every defining relation of B_n."""
     if n < 2:
         raise BraidError("need n >= 2")
-    out = []
+    report = Report(f"braid relations, n={n}")
+    for i in range(1, n - 1):
+        report.add(
+            f"s{i} s{i+1} s{i} = s{i+1} s{i} s{i+1}",
+            braid_equal(braid(n, (i, i + 1, i)), braid(n, (i + 1, i, i + 1))),
+        )
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            report.add(f"s{i} s{j} = s{j} s{i}", braid_equal(braid(n, (i, j)), braid(n, (j, i))))
+    return report
+
+
+def verify_pure_braid_relations(n: int) -> Report:
+    """Check every instance of the pure braid relations A_{i,j}^-1 A_{k,l} A_{i,j}."""
+    if n < 2:
+        raise BraidError("need n >= 2")
+    report = Report(f"pure braid relations, n={n}")
     for j in range(2, n + 1):
         for i in range(1, j):
+            conj = pure_gen(i, j, n)
             for l in range(j + 1, n + 1):
                 for k in range(1, l):
-                    conj = pure_gen(i, j, n)
-                    lhs = ~conj * pure_gen(k, l, n) * conj
-                    rhs = _pure_rel_rhs(i, j, k, l, n)
                     if k == i or k == j:
                         case = "k=i" if k == i else "k=j"
                     elif i < k < j:
                         case = "i<k<j"
                     else:
                         case = "otherwise"
-                    out.append(
-                        (f"A[{i},{j}]^-1 A[{k},{l}] A[{i},{j}] ({case})", lhs, rhs)
+                    lhs = ~conj * pure_gen(k, l, n) * conj
+                    report.add(
+                        f"A[{i},{j}]^-1 A[{k},{l}] A[{i},{j}] ({case})",
+                        braid_equal(lhs, _pure_rel_rhs(i, j, k, l, n)),
                     )
-    return out
-
-
-def verify_braid_relations(n: int) -> Report:
-    """Check every defining relation of B_n."""
-    report = Report(f"braid relations, n={n}")
-    for name, lhs, rhs in braid_relation_instances(n):
-        report.add(name, braid_equal(lhs, rhs))
-    return report
-
-
-def verify_pure_braid_relations(n: int) -> Report:
-    """Check every instance of the pure braid relations A_{i,j}^-1 A_{k,l} A_{i,j}."""
-    report = Report(f"pure braid relations, n={n}")
-    for name, lhs, rhs in pure_braid_relation_instances(n):
-        report.add(name, braid_equal(lhs, rhs))
     return report
 
 

@@ -215,31 +215,22 @@ def _commute(n: int, a: NormalForm, b: NormalForm) -> bool:
     return garside.product(n, [a, b]) == garside.product(n, [b, a])
 
 
-def monomial_relation_instances(prm: MonomialParams) -> list[tuple[str, BraidWord, BraidWord]]:
-    """Defining relations among rho_0 .. rho_{n-1} as (name, lhs, rhs) pairs."""
-    if prm.n < 2:
-        raise BraidError("need n >= 2")
-    rhos = [rho(i, prm) for i in range(prm.n)]
-    r0, r1 = rhos[0], rhos[1]
-    out = [("(rho0 rho1)^2 = (rho1 rho0)^2", r0 * r1 * r0 * r1, r1 * r0 * r1 * r0)]
-    for i in range(1, prm.n - 1):
-        a, b = rhos[i], rhos[i + 1]
-        out.append(
-            (f"rho{i} rho{i+1} rho{i} = rho{i+1} rho{i} rho{i+1}", a * b * a, b * a * b)
-        )
-    for i in range(prm.n):
-        for j in range(i + 2, prm.n):
-            out.append(
-                (f"rho{i} rho{j} = rho{j} rho{i}", rhos[i] * rhos[j], rhos[j] * rhos[i])
-            )
-    return out
-
-
 def verify_monomial_relations(prm: MonomialParams) -> Report:
     """Check the defining relations among rho_0, ..., rho_{n-1}."""
+    if prm.n < 2:
+        raise BraidError("need n >= 2")
     report = Report(f"monomial braid relations, r={prm.r}, n={prm.n}")
-    for name, lhs, rhs in monomial_relation_instances(prm):
-        report.add(name, braid_equal(lhs, rhs))
+    rhos = [rho(i, prm) for i in range(prm.n)]
+    r0, r1 = rhos[0], rhos[1]
+    report.add("(rho0 rho1)^2 = (rho1 rho0)^2", braid_equal(r0 * r1 * r0 * r1, r1 * r0 * r1 * r0))
+    for i in range(1, prm.n - 1):
+        a, b = rhos[i], rhos[i + 1]
+        report.add(f"rho{i} rho{i+1} rho{i} = rho{i+1} rho{i} rho{i+1}",
+                   braid_equal(a * b * a, b * a * b))
+    for i in range(prm.n):
+        for j in range(i + 2, prm.n):
+            report.add(f"rho{i} rho{j} = rho{j} rho{i}",
+                       braid_equal(rhos[i] * rhos[j], rhos[j] * rhos[i]))
     return report
 
 

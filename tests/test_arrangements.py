@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 from itertools import combinations
@@ -328,6 +329,32 @@ def test_pbn_table_rejects_a_non_conjugate_image(monkeypatch):
     monkeypatch.setattr(arrangements, "artin", squares)
     with pytest.raises(ArrangementError, match="not a conjugate"):
         verify_pbn_table(2)
+
+
+def test_pbn_table_reads_the_printed_relations(monkeypatch):
+    # the table takes each right-hand side from the relations `present typeb`
+    # prints, so a relation tampered there fails exactly its own cell
+    import braidforge.arrangements as arrangements
+
+    real = arrangements.assemble_presentation
+    cell = "a[1,2]^-1 a[1,3] a[1,2]"  # conjugator a[1,3] a[2,3], not empty
+
+    def tampered(tower):
+        pres = real(tower)
+        relations = tuple(
+            dataclasses.replace(
+                rel,
+                rhs=word(rel.rhs.rank, [tower[rel.level - 1].gen_names.index(rel.target) + 1]),
+            )
+            if f"{rel.conj}^-1 {rel.target} {rel.conj}" == cell
+            else rel
+            for rel in pres.relations
+        )
+        return dataclasses.replace(pres, relations=relations)
+
+    assert verify_pbn_table(3).passed
+    monkeypatch.setattr(arrangements, "assemble_presentation", tampered)
+    assert [c.name for c in verify_pbn_table(3).failures] == [cell]
 
 
 # sha256 prefix of the "name, ok, detail" lines of verify_pbn_table(n), as

@@ -326,10 +326,14 @@ def test_monodromy_golden_file():
                      "golden_monomial_r3_n5_relations.txt", id="relations"),
         pytest.param("typeb --n 4 --verify", "golden_typeb_n4_verify.txt", id="typeb"),
         pytest.param("verify purebraid --n 5", "golden_purebraid_n5.txt", id="purebraid"),
+        pytest.param("present typeb --n 3", "golden_present_typeb_n3.txt", id="present-typeb"),
+        pytest.param("present monomial --r 2 --n 3",
+                     "golden_present_monomial_r2_n3.txt", id="present-monomial"),
     ],
 )
 def test_monomial_suite_golden_file(argv, golden):
-    # pins every check name, its order and its verdict of each braid-equality suite
+    # pins every check name, its order and its verdict of each braid-equality
+    # suite, and every generator and relation `present` prints
     code, out = run_cli(*argv.split())
     assert code == 0
     assert out == _golden(golden)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
+from braidforge import braid, monomial
 from braidforge.arrangements import verify_pbn_correspondence
 from braidforge.braid import braid_equal, linking_pairs, permutation
-from braidforge.garside import inverse, product
+from braidforge.garside import inverse, normal_form, product
 from braidforge.monomial import (
     A,
     Abracket,
@@ -144,6 +147,25 @@ def test_lemma_conj_extended_conjugator_is_bare_D_for_adjacent():
     prm = MonomialParams(3, 3)
     assert lemma_conj_D(2, 3, prm).letters == D(2, prm).letters
     assert lemma_conj_D(1, 3, prm).letters == (D(1, prm) * A(1, 2, 1, prm)).letters
+
+
+def test_suites_normalise_each_letter_sequence_once(monkeypatch):
+    # Every block is built once and keeps its form, a one-factor block is
+    # its factor, and every trivial block (C_1, A^{[r]}, nu_1) is the one
+    # shared empty word, so the (3,4) pair reads no letter sequence twice.
+    for cached in (braid.empty_braid, *(f for f in vars(monomial).values()
+                                        if hasattr(f, "cache_clear"))):
+        cached.cache_clear()
+    seen = Counter()
+
+    def counting(n, letters):
+        seen[n, letters] += 1
+        return normal_form(n, letters)
+
+    monkeypatch.setattr(braid, "normal_form", counting)
+    prm = MonomialParams(3, 4)
+    assert verify_presentation(prm).passed and verify_lemma_conj(prm).passed
+    assert [key for key, count in seen.items() if count > 1] == []
 
 
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 3)])
