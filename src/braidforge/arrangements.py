@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from . import garside
 from . import monomial as mono
 from .braid import (
     BraidWord,
@@ -25,11 +24,11 @@ from .braid import (
     full_twist,
     linking_pairs,
     permutation,
+    product,
     pure_gen,
     u_chain,
 )
 from .freegroup import Word, WordError, conjugate, invert, peel_conjugate, word
-from .garside import NormalForm, inverse
 from .liealg import HolonomyPresentation, holonomy_relations_from_flats
 from .report import Report
 from .wiring import RealLine, braid_monodromy, real_line, wiring_from_real_lines
@@ -620,7 +619,7 @@ def verify_pbn_correspondence(n: int) -> Report:
     """Check the type-B action table as braid identities in P(2,n).
 
     Under a_{i,j} = A^{(2)}_{i,j}, b_{i,j} = A^{(1)}_{i,j}, c_j = Z_j, each
-    literal table cell g^-1 y g = K y K^-1 is tested by normal form.  The
+    literal table cell g^-1 y g = K y K^-1 is tested by braid_equal.  The
     two cells without a well-formed literal reading (the q_k conjugator at
     k=i and the y_k conjugator at k=j) are reported informationally, not as
     failures.
@@ -628,27 +627,23 @@ def verify_pbn_correspondence(n: int) -> Report:
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     prm = mono.MonomialParams(2, n)
-    strands = prm.strands
 
-    def as_form(sym: BSym) -> NormalForm:
+    def as_braid(sym: BSym) -> BraidWord:
         kind, i, j = sym
         if kind == "c":
-            return mono.Z(j, prm).form
-        if kind == "a":
-            return mono.A(i, j, 2, prm).form
-        return mono.A(i, j, 1, prm).form
+            return mono.Z(j, prm)
+        return mono.A(i, j, 2 if kind == "a" else 1, prm)
 
     report = Report(f"type-B table correspondence, n={n}")
     for cell in pbn_table_cells(n):
         if cell.conjugator is None:
             report.add(f"{cell.name} (no literal reading)", True, "computed only")
             continue
-        g = as_form(cell.conj)
-        y = as_form(cell.target)
-        lhs = garside.product(strands, [inverse(g), y, g])
-        conj = garside.product(
-            strands,
-            [as_form(sym) if sign > 0 else inverse(as_form(sym)) for sym, sign in cell.conjugator],
+        g = as_braid(cell.conj)
+        y = as_braid(cell.target)
+        conj = product(
+            [as_braid(sym) if sign > 0 else ~as_braid(sym) for sym, sign in cell.conjugator],
+            prm.strands,
         )
-        report.add(cell.name, lhs == garside.product(strands, [conj, y, inverse(conj)]))
+        report.add(cell.name, braid_equal(product([~g, y, g]), product([conj, y, ~conj])))
     return report

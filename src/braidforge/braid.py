@@ -1,22 +1,23 @@
 """Braid words, the Artin representation, and pure braid machinery.
 
-Braid words are unreduced sequences of signed Artin generator indices:
-``i`` means sigma_i, ``-i`` means sigma_i^-1.  Products concatenate, and
-the word farther left acts first: artin(a*b) = compose(artin(a), artin(b))
-under the right-action convention of :mod:`braidforge.freegroup`.
+A braid word is given by its letters, signed Artin generator indices (``i``
+means sigma_i, ``-i`` sigma_i^-1), or built from braids by :func:`product`,
+``*``, ``~`` and ``**``; a built braid keeps its parts and spells out its
+letters only when they are read.  The word farther left acts first:
+artin(a*b) = compose(artin(a), artin(b)) under the right-action convention
+of :mod:`braidforge.freegroup`.
 
-Equality of braids is decided by Garside left normal form
-(:mod:`braidforge.garside`): two words are equal in the braid group exactly
-when their normal forms agree.  Each word carries its normal form as
-:attr:`BraidWord.form`, read from its letters on first use and kept with
-the word, so a block that is built once is normalised once; derived braids
-are products and inverses of these forms (:func:`garside.product`,
-:func:`garside.inverse`).  The Artin representation is kept for the places
-that print or inspect free-group images, and as an independent oracle in
-the tests.  :func:`artin` reads a word right to left: prefixing
-one letter to a word whose action is already known rewrites only the images
-of the two generators that letter moves, so each letter costs two images
-rather than n, and reduction happens only at the joins of reduced words.
+Braid equality is :func:`braid_equal`, decided by Garside left normal form
+(:mod:`braidforge.garside`, read by this module alone).  Each braid keeps
+its normal form as :attr:`BraidWord.form`: a given word reads it from its
+letters, and a built one multiplies its parts' cached forms, so a block
+built once is normalised once and a conjugate of it costs one product of
+forms.  The Artin representation is kept for the places that print or
+inspect free-group images, and as an independent oracle in the tests.
+:func:`artin` reads a word right to left: prefixing one letter to a word
+whose action is already known rewrites only the images of the two
+generators that letter moves, so each letter costs two images rather than
+n, and reduction happens only at the joins of reduced words.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
+from . import garside
 from .freegroup import Endomorphism, Word
-from .garside import NormalForm, normal_form
+from .garside import NormalForm, inverse, normal_form
 from .report import Report
 
 __all__ = [
@@ -53,36 +55,64 @@ class BraidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    """A word in the Artin generators of B_n; no reduction is performed."""
+    """A braid in B_n: a word given by its letters, or a product of (braid, +-1) parts.
 
-    strands: int
-    letters: tuple[int, ...]
+    No reduction is performed, and ``==`` is identity: braid equality is
+    :func:`braid_equal`.  Both lazy properties walk the parts with an
+    explicit stack, so a deep chain such as ``b = b * s`` needs no recursion.
+    """
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise BraidError(f"strand count must be positive, got {self.strands}")
-        for x in self.letters:
-            if x == 0 or abs(x) > self.strands - 1:
-                raise BraidError(f"letter {x} out of range for {self.strands} strands")
+    def __init__(self, strands: int, letters: tuple[int, ...], parts=()) -> None:
+        if strands < 1:
+            raise BraidError(f"strand count must be positive, got {strands}")
+        for x in letters:
+            if x == 0 or abs(x) > strands - 1:
+                raise BraidError(f"letter {x} out of range for {strands} strands")
+        self.strands = strands
+        self.parts: tuple[tuple[BraidWord, int], ...] = parts
+        self.length = sum(p.length for p, _ in parts) if parts else len(letters)
+        if not parts:
+            self.__dict__["letters"] = letters
+
+    @cached_property
+    def letters(self) -> tuple[int, ...]:
+        """The letters of a built braid, spelled out on first read and kept on it alone."""
+        out: list[int] = []
+        stack = [(self, 1)]
+        while stack:
+            b, sign = stack.pop()
+            known = b.__dict__.get("letters")
+            if known is None:  # the part spelled first goes on top
+                stack += [(p, s * sign) for p, s in (b.parts if sign < 0 else b.parts[::-1])]
+            else:
+                out += known if sign > 0 else [-x for x in reversed(known)]
+        return tuple(out)
 
     @cached_property
     def form(self) -> NormalForm:
-        """Garside left normal form of the word, read from its letters once."""
-        return normal_form(self.strands, self.letters)
+        """Garside left normal form: read from given letters, multiplied from built parts."""
+        if not self.parts:
+            return normal_form(self.strands, self.letters)
+        stack = [self]
+        while stack:
+            b = stack.pop()
+            todo = [p for p, _ in b.parts if p.parts and "form" not in p.__dict__]
+            if todo:
+                stack += [b] + todo
+            elif "form" not in b.__dict__:
+                forms = [p.form if s > 0 else inverse(p.form) for p, s in b.parts]
+                b.__dict__["form"] = garside.product(b.strands, forms) if forms[1:] else forms[0]
+        return self.__dict__["form"]
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise BraidError(f"strand mismatch: {self.strands} != {other.strands}")
-        return BraidWord(self.strands, self.letters + other.letters)
+    def __mul__(self, other: BraidWord) -> BraidWord:
+        return product([self, other])
 
-    def __invert__(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
+    def __invert__(self) -> BraidWord:
+        return BraidWord(self.strands, (), ((self, -1),)) if self.length else self
 
-    def __pow__(self, k: int) -> "BraidWord":
-        base = self if k >= 0 else ~self
-        return BraidWord(self.strands, base.letters * abs(k))
+    def __pow__(self, k: int) -> BraidWord:
+        return product([self] * k if k >= 0 else [~self] * -k, self.strands)
 
 
 def braid(n: int, letters: Iterable[int]) -> BraidWord:
@@ -96,11 +126,12 @@ def empty_braid(n: int) -> BraidWord:
 
 
 def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
-    """The words concatenated left to right; an empty product needs the strand count n.
+    """The braids multiplied left to right; an empty product needs the strand count n.
 
-    Empty factors are dropped, so a product with one nontrivial factor is
-    that word, and one with none is the shared empty word: either way its
-    normal form is read once.
+    The result keeps the braids as its parts, without flattening nested
+    products, so their cached forms are reused.  Empty factors are dropped,
+    so a product with one nontrivial factor is that braid, and one with none
+    is the shared empty word.
     """
     if not braids:
         if n is None:
@@ -110,10 +141,10 @@ def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
     for b in braids:
         if b.strands != strands:
             raise BraidError(f"strand mismatch: {strands} != {b.strands}")
-    factors = [b for b in braids if b.letters]
+    factors = [b for b in braids if b.length]
     if len(factors) <= 1:
         return factors[0] if factors else empty_braid(strands)
-    return BraidWord(strands, tuple(x for b in factors for x in b.letters))
+    return BraidWord(strands, (), tuple((b, 1) for b in factors))
 
 
 def _conjugate(x: list[int], y: list[int], x_inv: list[int], neg: dict[int, int]) -> list[int]:

@@ -156,6 +156,8 @@ def _parse_flats_file(text: str) -> liealg.HolonomyPresentation:
         flats.append(members)
     if not gens:
         gens = list(dict.fromkeys(name for flat in flats for name in flat))
+    if not gens:
+        raise CliError("flats file names no generator")
     return liealg.holonomy_relations_from_flats(flats, gens)
 
 

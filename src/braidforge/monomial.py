@@ -9,24 +9,22 @@ presentation of the pure monomial braid group, and verify every identity
 claimed for them.  Each block has one builder, cached per (indices,
 params), and every suite calls the builders directly.
 
-Relations are decided by Garside left normal form (:mod:`braidforge.garside`),
-never through Artin images.  Because the derived words grow quickly under
-conjugation, the suites never flatten them into letters: each named block
-carries its normal form (:attr:`BraidWord.form`, kept with the cached block,
-so it is read from the letters once per process), inverses come from
-:func:`garside.inverse`, and conjugates, chains and cyclic products are
-products of these forms.
+Relations are decided by :func:`braid_equal`, never through Artin images.
+Every block, conjugate, chain and cyclic product is built with
+:func:`product`, ``~`` and ``**``, so it keeps its parts: the derived words
+grow quickly under conjugation (Q_{6,5} at r = n = 6 has 455 230 letters),
+but no suite spells them out.  Each braid's normal form is multiplied from
+its parts' forms and kept with it, so a cached block is normalised once per
+process and a conjugate of it costs one product of forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
 
-from . import garside
 from .braid import (
     BraidWord, BraidError, braid_equal, empty_braid, linking_pairs, permutation, product
 )
-from .garside import NormalForm, inverse
 from .liealg import _rank_of_rows
 from .report import Report
 
@@ -184,12 +182,7 @@ def lemma_conj_D(k: int, l: int, prm: MonomialParams) -> BraidWord:
     return product([D(k, prm)] + tail, prm.strands)
 
 
-def _q_conjugates(j: int, p: int, prm: MonomialParams) -> list[tuple[BraidWord, BraidWord]]:
-    """The pairs (W_{i,j}, A^{(q)}_{i,j}) whose conjugates W A W^-1 follow C_j in Q_{j,p}."""
-    return [(lemma_conj_D(i, j, prm), A(i, j, q, prm))
-            for q in range(1, p + 1) for i in range(1, j)]
-
-
+@cache
 def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
     """Q_{j,p} = C_j prod_{q<=p} prod_{i<j} W_{i,j} A^{(q)}_{i,j} W_{i,j}^-1.
 
@@ -201,18 +194,20 @@ def Q(j: int, p: int, prm: MonomialParams) -> BraidWord:
     if p < 0 or p > prm.r:
         raise BraidError(f"Q exponent p={p} out of range for r={prm.r}")
     factors = [C(j, prm)]
-    for w, a in _q_conjugates(j, p, prm):
-        factors += [w, a, ~w]
+    for q in range(1, p + 1):
+        for i in range(1, j):
+            w = lemma_conj_D(i, j, prm)
+            factors += [w, A(i, j, q, prm), ~w]
     return product(factors, prm.strands)
 
 
-def _conjugated(n: int, conj: NormalForm, mid: NormalForm) -> NormalForm:
-    """Normal form of conj mid conj^-1."""
-    return garside.product(n, [conj, mid, inverse(conj)])
+def _conjugated(w: BraidWord, x: BraidWord) -> BraidWord:
+    """The conjugate w x w^-1."""
+    return product([w, x, ~w])
 
 
-def _commute(n: int, a: NormalForm, b: NormalForm) -> bool:
-    return garside.product(n, [a, b]) == garside.product(n, [b, a])
+def _commute(a: BraidWord, b: BraidWord) -> bool:
+    return braid_equal(product([a, b]), product([b, a]))
 
 
 def verify_monomial_relations(prm: MonomialParams) -> Report:
@@ -222,15 +217,15 @@ def verify_monomial_relations(prm: MonomialParams) -> Report:
     report = Report(f"monomial braid relations, r={prm.r}, n={prm.n}")
     rhos = [rho(i, prm) for i in range(prm.n)]
     r0, r1 = rhos[0], rhos[1]
-    report.add("(rho0 rho1)^2 = (rho1 rho0)^2", braid_equal(r0 * r1 * r0 * r1, r1 * r0 * r1 * r0))
+    report.add("(rho0 rho1)^2 = (rho1 rho0)^2",
+               braid_equal(product([r0, r1, r0, r1]), product([r1, r0, r1, r0])))
     for i in range(1, prm.n - 1):
         a, b = rhos[i], rhos[i + 1]
         report.add(f"rho{i} rho{i+1} rho{i} = rho{i+1} rho{i} rho{i+1}",
-                   braid_equal(a * b * a, b * a * b))
+                   braid_equal(product([a, b, a]), product([b, a, b])))
     for i in range(prm.n):
         for j in range(i + 2, prm.n):
-            report.add(f"rho{i} rho{j} = rho{j} rho{i}",
-                       braid_equal(rhos[i] * rhos[j], rhos[j] * rhos[i]))
+            report.add(f"rho{i} rho{j} = rho{j} rho{i}", _commute(rhos[i], rhos[j]))
     return report
 
 
@@ -238,58 +233,55 @@ def verify_lemma_conj(prm: MonomialParams) -> Report:
     """Check the conjugation case table for X_i acting on Z_l and A^{(r)}_{k,l}."""
     if prm.n < 2:
         raise BraidError("need n >= 2")
-    r, strands = prm.r, prm.strands
+    r = prm.r
     report = Report(f"conjugation lemma, r={r}, n={prm.n}")
     # A^{(r-1)} is built by _A_any_p, not A: p = r-1 degenerates to p = 0 at
     # r = 1, and the defining formula extends.
     for i in range(1, prm.n + 1):
-        xi = X(i, prm).form
-        xi_inv = inverse(xi)
+        xi = X(i, prm)
+        xi_inv = ~xi
         for l in range(1, prm.n + 1):
-            z = Z(l, prm).form
-            lhs = garside.product(strands, [xi_inv, z, xi])
+            z = Z(l, prm)
+            lhs = product([xi_inv, z, xi])
             if l < i:
                 rhs = z
                 case = "l<i"
             elif l == i:
-                rhs = _conjugated(strands, inverse(C(l, prm).form), z)
+                rhs = _conjugated(~C(l, prm), z)
                 case = "l=i"
             else:
-                rhs = _conjugated(strands, _A_any_p(i, l, r - 1, prm).form, z)
+                rhs = _conjugated(_A_any_p(i, l, r - 1, prm), z)
                 case = "l>i"
-            report.add(f"X[{i}]^-1 Z[{l}] X[{i}] ({case})", lhs == rhs)
+            report.add(f"X[{i}]^-1 Z[{l}] X[{i}] ({case})", braid_equal(lhs, rhs))
         for k in range(1, prm.n + 1):
             for l in range(k + 1, prm.n + 1):
-                a = A(k, l, r, prm).form
-                lhs = garside.product(strands, [xi_inv, a, xi])
+                a = A(k, l, r, prm)
+                lhs = product([xi_inv, a, xi])
                 if i < k or i > l:
                     rhs = a
                     case = "i<k or i>l"
                 elif i == k:
-                    rhs = _A_any_p(k, l, r - 1, prm).form
+                    rhs = _A_any_p(k, l, r - 1, prm)
                     case = "i=k"
                 elif k < i < l:
-                    rhs = _conjugated(strands, _A_any_p(i, l, r - 1, prm).form, a)
+                    rhs = _conjugated(_A_any_p(i, l, r - 1, prm), a)
                     case = "k<i<l"
                 else:
-                    rhs = _conjugated(strands, lemma_conj_D(k, l, prm).form, A(k, l, 1, prm).form)
+                    rhs = _conjugated(lemma_conj_D(k, l, prm), A(k, l, 1, prm))
                     case = "i=l"
-                report.add(f"X[{i}]^-1 A[{k},{l};{r}] X[{i}] ({case})", lhs == rhs)
+                report.add(f"X[{i}]^-1 A[{k},{l};{r}] X[{i}] ({case})", braid_equal(lhs, rhs))
     return report
 
 
-def _family_holds(strands: int, elements: list[list[NormalForm]], report: Report,
-                  label: str) -> None:
+def _family_holds(elements: list[BraidWord], report: Report, label: str) -> None:
     """Commutation family [g_1, ..., g_m]: all cyclic products agree.
 
     Equivalent to the full product commuting with each of g_1 .. g_{m-1};
-    each of those m-1 commutations is recorded as one check.  Elements are
-    factor lists of normal forms.
+    each of those m-1 commutations is recorded as one check.
     """
-    prod = garside.product(strands, [f for el in elements for f in el])
+    prod = product(elements)
     for k, el in enumerate(elements[:-1]):
-        e = garside.product(strands, el)
-        report.add(f"{label} rotation {k+1}", _commute(strands, prod, e))
+        report.add(f"{label} rotation {k+1}", _commute(prod, el))
 
 
 def verify_presentation(prm: MonomialParams) -> Report:
@@ -307,27 +299,17 @@ def verify_presentation(prm: MonomialParams) -> Report:
     r, n, strands = prm.r, prm.n, prm.strands
     report = Report(f"pure monomial presentation, r={r}, n={n}")
 
-    def conj_factors(conj: list[NormalForm], mid: BraidWord) -> list[NormalForm]:
-        return conj + [mid.form] + [inverse(f) for f in reversed(conj)]
+    def z_family(j: int, l: int) -> list[BraidWord]:
+        # A^{(p)} is conjugated by Q_{j,r-1-p}; Q_{1,*} = C_1 is empty
+        conjugates = [_conjugated(Q(j, r - 1 - p, prm), A(j, l, p, prm)) for p in range(1, r)]
+        return [Z(j, prm)] + conjugates + [Z(l, prm), A(j, l, r, prm)]
 
-    def q_factors(j: int, p: int) -> list[NormalForm]:
-        # the factors of Q_{j,p}, as in Q
-        out = [C(j, prm).form]
-        for w, a in _q_conjugates(j, p, prm):
-            out += [w.form, a.form, inverse(w.form)]
-        return out
-
-    # Z_j .. Z_l family; A^{(p)} is conjugated by Q_{j,r-1-p}, with Q_{j,0} = C_j.
-    # The (1,2) instance is checked by direct rotation; the general instance
-    # is its conjugate by w = rho_{l-1}..rho_{j+1} nu_j, so it suffices that
-    # every element match the w-conjugate of the base element.
-    base_elems = (
-        [[Z(1, prm).form]]
-        + [[A(1, 2, p, prm).form] for p in range(1, r)]
-        + [[Z(2, prm).form], [A(1, 2, r, prm).form]]
-    )
-    _family_holds(strands, base_elems, report, f"[Z1,A..A,Z2,A(1,2;{r})]")
-    base_forms = [garside.product(strands, el) for el in base_elems]
+    # Z_j .. Z_l family.  The (1,2) instance is checked by direct rotation;
+    # the general instance is its conjugate by w = rho_{l-1}..rho_{j+1} nu_j,
+    # so it suffices that every element match the w-conjugate of the base
+    # element.
+    base = z_family(1, 2)
+    _family_holds(base, report, f"[Z1,A..A,Z2,A(1,2;{r})]")
 
     # nu_j = rho_1 .. rho_j nu_{j-1}, with nu_1 = 1
     nus = {1: empty_braid(strands)}
@@ -339,16 +321,10 @@ def verify_presentation(prm: MonomialParams) -> Report:
             if (j, l) == (1, 2):
                 continue
             w = product([rho(s, prm) for s in range(l - 1, j, -1)] + [nus[j]])
-            elems = (
-                [[Z(j, prm).form]]
-                + [conj_factors(q_factors(j, r - 1 - p), A(j, l, p, prm)) for p in range(1, r)]
-                + [[Z(l, prm).form], [A(j, l, r, prm).form]]
-            )
             label = f"[Z{j},Q.A..Q,Z{l},A({j},{l};{r})]"
-            for s, el in enumerate(elems):
-                lhs = garside.product(strands, el)
-                rhs = _conjugated(strands, w.form, base_forms[s])
-                report.add(f"{label} element {s+1} conjugates from base", lhs == rhs)
+            for s, el in enumerate(z_family(j, l)):
+                report.add(f"{label} element {s+1} conjugates from base",
+                           braid_equal(el, _conjugated(w, base[s])))
 
     # Z against A with all three relative positions of the Z index.  A Z above
     # both A-indices commutes with the A^{[p]}-conjugate of Z_k, which
@@ -357,26 +333,20 @@ def verify_presentation(prm: MonomialParams) -> Report:
         for i in range(1, n + 1):
             for k in range(i + 1, n + 1):
                 for l in range(k + 1, n + 1):
-                    report.add(
-                        f"[Z{i}, A({k},{l};{p})]",
-                        _commute(strands, Z(i, prm).form, A(k, l, p, prm).form),
-                    )
+                    report.add(f"[Z{i}, A({k},{l};{p})]", _commute(Z(i, prm), A(k, l, p, prm)))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
-                    zk = _conjugated(strands, Abracket(i, k, p, prm).form, Z(k, prm).form)
+                    zk = _conjugated(Abracket(i, k, p, prm), Z(k, prm))
                     report.add(
                         f"[A({i},{j};{p}), Abr({i},{k};{p}) Z{k} .]",
-                        _commute(strands, A(i, j, p, prm).form, zk),
+                        _commute(A(i, j, p, prm), zk),
                     )
-                    lhs = _conjugated(strands, Abracket(i, j, p, prm).form, Z(j, prm).form)
-                    chain = [A(s, k, r, prm).form for s in range(i + 1, j + 1)]
-                    conjd = _conjugated(
-                        strands, inverse(garside.product(strands, chain)), A(i, k, p, prm).form
-                    )
+                    lhs = _conjugated(Abracket(i, j, p, prm), Z(j, prm))
+                    chain = product([A(s, k, r, prm) for s in range(i + 1, j + 1)])
                     report.add(
                         f"[Abr({i},{j};{p}) Z{j} ., A({i},{k};{p})^(A..A)]",
-                        _commute(strands, lhs, conjd),
+                        _commute(lhs, _conjugated(~chain, A(i, k, p, prm))),
                     )
 
     # A against A: disjoint, nested, and linked pairs.
@@ -388,25 +358,19 @@ def verify_presentation(prm: MonomialParams) -> Report:
                         for l in range(k + 1, n + 1):
                             report.add(
                                 f"[A({i},{j};{p}), A({k},{l};{q})]",
-                                _commute(strands, A(i, j, p, prm).form, A(k, l, q, prm).form),
+                                _commute(A(i, j, p, prm), A(k, l, q, prm)),
                             )
-                            nested = _conjugated(
-                                strands, Abracket(j, l, p, prm).form, A(i, l, q, prm).form
-                            )
+                            nested = _conjugated(Abracket(j, l, p, prm), A(i, l, q, prm))
                             report.add(
                                 f"[A({j},{k};{p}), Abr A({i},{l};{q}) Abr^-1]",
-                                _commute(strands, A(j, k, p, prm).form, nested),
+                                _commute(A(j, k, p, prm), nested),
                             )
-                            lhs = _conjugated(
-                                strands, Abracket(j, k, p, prm).form, A(i, k, q, prm).form
-                            )
-                            akl = A(k, l, r, prm).form
-                            rhs = garside.product(
-                                strands, [inverse(akl), A(j, l, p, prm).form, akl]
-                            )
+                            lhs = _conjugated(Abracket(j, k, p, prm), A(i, k, q, prm))
+                            akl = A(k, l, r, prm)
+                            rhs = product([~akl, A(j, l, p, prm), akl])
                             report.add(
                                 f"[Abr A({i},{k};{q}) Abr^-1, A({j},{l};{p})^A({k},{l};{r})]",
-                                _commute(strands, lhs, rhs),
+                                _commute(lhs, rhs),
                             )
 
     # Triple families.
@@ -415,16 +379,15 @@ def verify_presentation(prm: MonomialParams) -> Report:
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
                     _family_holds(
-                        strands,
-                        [[A(i, j, p, prm).form], [A(i, k, p, prm).form], [A(j, k, r, prm).form]],
+                        [A(i, j, p, prm), A(i, k, p, prm), A(j, k, r, prm)],
                         report,
                         f"[A({i},{j};{p}), A({i},{k};{p}), A({j},{k};{r})]",
                     )
 
-    def bracket_chain(i: int, j: int, k: int, q: int) -> list[NormalForm]:
+    def bracket_chain(i: int, j: int, k: int, q: int) -> BraidWord:
         # descending m = j-1 .. i+1, the order of the A^{[1]}_{m,k} factors of D_k
-        lower = [Abracket(m, k, r - q, prm).form for m in range(j - 1, i, -1)]
-        return [Abracket(j, k, r - q + 1, prm).form] + lower
+        lower = [Abracket(m, k, r - q, prm) for m in range(j - 1, i, -1)]
+        return product([Abracket(j, k, r - q + 1, prm)] + lower)
 
     for p in range(1, r + 1):
         for q in range(1, p):
@@ -432,12 +395,11 @@ def verify_presentation(prm: MonomialParams) -> Report:
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
                         elems = [
-                            [A(i, j, p, prm).form],
-                            [A(j, k, r - q, prm).form],
-                            conj_factors(bracket_chain(i, j, k, q), A(i, k, p - q, prm)),
+                            A(i, j, p, prm),
+                            A(j, k, r - q, prm),
+                            _conjugated(bracket_chain(i, j, k, q), A(i, k, p - q, prm)),
                         ]
                         _family_holds(
-                            strands,
                             elems,
                             report,
                             f"[A({i},{j};{p}), A({j},{k};{r-q}), . A({i},{k};{p-q}) .]",
@@ -448,12 +410,11 @@ def verify_presentation(prm: MonomialParams) -> Report:
                 for j in range(i + 1, n + 1):
                     for k in range(j + 1, n + 1):
                         elems = [
-                            conj_factors([D(i, prm).form], A(i, j, p, prm)),
-                            [A(j, k, r - q, prm).form],
-                            conj_factors(bracket_chain(i, j, k, q), A(i, k, r - q + p, prm)),
+                            _conjugated(D(i, prm), A(i, j, p, prm)),
+                            A(j, k, r - q, prm),
+                            _conjugated(bracket_chain(i, j, k, q), A(i, k, r - q + p, prm)),
                         ]
                         _family_holds(
-                            strands,
                             elems,
                             report,
                             f"[D A({i},{j};{p}) D^-1, A({j},{k};{r-q}), . A({i},{k};{r-q+p}) .]",

@@ -21,12 +21,13 @@ from .braid import (
     BraidWord,
     BraidError,
     artin,
+    braid_equal,
     empty_braid,
     linking_numbers,
     permutation,
+    product,
 )
 from .freegroup import WordError, abelianize, peel_conjugate
-from . import garside
 from .report import Report
 
 __all__ = [
@@ -139,10 +140,7 @@ def permutation_braid_mu(block, n: int) -> BraidWord:
 
 def upsilon(I: ConsecutivePartition) -> BraidWord:
     """Product of the half twists of all blocks of the partition."""
-    out = empty_braid(I.n)
-    for block in I.blocks:
-        out = out * permutation_braid_mu(block, I.n)
-    return out
+    return product([permutation_braid_mu(block, I.n) for block in I.blocks], I.n)
 
 
 def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
@@ -151,7 +149,7 @@ def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
     beta = empty_braid(W.n)
     for j, (I, between) in enumerate(W.events, start=1):
         ups = upsilon(I)
-        gamma = ~beta * ups * ups * beta
+        gamma = product([~beta, ups, ups, beta])
         if not permutation(gamma).is_identity:
             raise WiringError(f"monodromy generator {j} is not pure")
         perm = permutation(beta)
@@ -162,7 +160,7 @@ def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
             )
         )
         gens.append(MonodromyGenerator(j, gamma, blocks, beta))
-        beta = between * ups * beta
+        beta = product([between, ups, beta])
     return gens
 
 
@@ -217,14 +215,14 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
     factors = []
     for block in g.nontrivial_blocks():
         mu = permutation_braid_mu(sorted(perm_inv(s) for s in block), n)
-        factors.append((~g.conjugator * mu * mu * g.conjugator).form)
-    report.add("per-block product", garside.product(n, factors) == g.braid.form)
+        factors.append(product([~g.conjugator, mu, mu, g.conjugator]))
+    report.add("per-block product", braid_equal(product(factors, n), g.braid))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
             report.add(
                 f"block factors {i + 1}, {j + 1} commute",
-                garside.product(n, [factors[i], factors[j]])
-                == garside.product(n, [factors[j], factors[i]]),
+                braid_equal(product([a, b]), product([b, a])),
             )
     return report
 
@@ -304,6 +302,8 @@ def parse_wiring(text: str) -> WiringDiagram:
                 n = int(head[1])
             except ValueError as exc:
                 raise WiringError(f"line {lineno}: bad strand count") from exc
+            if n < 1:
+                raise WiringError(f"line {lineno}: strand count must be positive")
             continue
         if line.startswith("I:"):
             items.append(("I", line[2:].strip(), lineno))

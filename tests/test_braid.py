@@ -1,5 +1,6 @@
 import io
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from braidforge.braid import (
     linking_numbers,
     linking_pairs,
     permutation,
+    product,
     pure_gen,
     u_chain,
     verify_braid_relations,
@@ -32,6 +34,8 @@ from braidforge.freegroup import (
     multiply,
     word,
 )
+from braidforge.garside import normal_form
+from braidforge.monomial import MonomialParams, Q
 
 
 def random_braid(rng, n, max_len=20):
@@ -283,3 +287,77 @@ def test_braid_equal_invariant_under_commutation_relator(n, data):
     relator = (i, j, -i, -j)
     pos = data.draw(st.integers(0, len(letters)))
     assert braid_equal(b, braid(n, letters[:pos] + list(relator) + letters[pos:]))
+
+
+def _inverse_letters(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+@st.composite
+def built_braids(draw):
+    """Braids built from random words by product, *, ~ and **, each with its letters
+    concatenated eagerly by hand; later entries reuse earlier ones as parts."""
+    n = draw(st.integers(2, 8))
+    gens = [s for s in range(-(n - 1), n) if s != 0]
+    pool = []
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["word", "mul", "inv", "pow", "product"]))
+        if op == "word" or not pool:
+            letters = tuple(draw(st.lists(st.sampled_from(gens), max_size=6)))
+            pool.append((braid(n, letters), letters))
+        elif op == "mul":
+            (a, la), (b, lb) = pick(), pick()
+            pool.append((a * b, la + lb))
+        elif op == "inv":
+            a, la = pick()
+            pool.append((~a, _inverse_letters(la)))
+        elif op == "pow":
+            (a, la), k = pick(), draw(st.integers(-3, 3))
+            pool.append((a ** k, (la if k >= 0 else _inverse_letters(la)) * abs(k)))
+        else:
+            picks = [pick() for _ in range(draw(st.integers(0, 4)))]
+            pool.append((product([b for b, _ in picks], n), tuple(x for _, l in picks for x in l)))
+    return n, pool
+
+
+@given(built_braids())
+@settings(max_examples=200, deadline=None)
+def test_built_braids_match_their_eager_letters(case):
+    n, pool = case
+    # the last braid first, so the others are read after it has cached their forms
+    for b, letters in reversed(pool):
+        assert b.form == normal_form(n, letters)
+        assert b.letters == letters
+        assert b.length == len(letters)
+
+
+def test_deep_chains_need_no_recursion():
+    # b = ~b, b * s2, b * s2^-1 in turn, 10 000 times: the word grows while its
+    # form stays short.  The expected word is a deque holding either the word
+    # or its inverse, so it is built in linear time.
+    b, stored, inverted = braid(3, (1,)), deque([1]), False
+    for k in range(10_000):
+        if k % 3 == 0:
+            b, inverted = ~b, not inverted
+            continue
+        x = 2 if k % 3 == 1 else -2
+        b = b * braid(3, (x,))
+        if inverted:
+            stored.appendleft(-x)
+        else:
+            stored.append(x)
+    letters = _inverse_letters(tuple(stored)) if inverted else tuple(stored)
+    assert len(letters) == 6_667
+    assert b.form == normal_form(3, letters)
+    assert b.letters == letters
+
+
+def test_a_built_form_leaves_the_letters_unspelled():
+    q = Q(6, 5, MonomialParams(6, 6))
+    assert q.length == 455_230
+    assert q.form.strands == 37
+    assert "letters" not in q.__dict__

@@ -200,8 +200,10 @@ def test_lie_flats_file(tmp_path):
         ("flat: a\n", "line 1: a flat needs at least two members"),
         ("flat: a a b\n", "flat member 'a' is repeated"),
         ("gens: a b c\nflat: a b\nflat: a b c\n", "pair 'a', 'b' lies in two flats"),
+        ("# comments only\n\n", "flats file names no generator"),
     ],
-    ids=["duplicate-gens", "unknown-member", "one-member", "repeated-member", "pair-in-two-flats"],
+    ids=["duplicate-gens", "unknown-member", "one-member", "repeated-member", "pair-in-two-flats",
+         "no-generator"],
 )
 def test_lie_flats_file_errors(tmp_path, text, message):
     flats = tmp_path / "bad.flats"

@@ -73,7 +73,6 @@ TEST_FACING = {
     # test constructors
     "wiring.partition": "builds consecutive partitions in the wiring tests",
     "wiring.singletons": "builds the all-singleton partition in the wiring tests",
-    "monomial.Q": "the presentation's Q_{j,p} braid, checked pure in the monomial tests",
 }
 
 
@@ -183,3 +182,11 @@ def test_only_braid_words_normalise_letters():
     # everything else multiplies and inverts forms, so a block built once
     # is normalised once
     assert _readers(("garside", "normal_form")) == {"braid.BraidWord.form"}
+
+
+@pytest.mark.parametrize("name", ["product", "inverse"])
+def test_only_braid_multiplies_normal_forms(name):
+    # suites build braids and compare them with braid_equal; only the braid
+    # module turns parts' forms into a product's form
+    readers = _readers(("garside", name))
+    assert readers and {path.split(".")[0] for path in readers} == {"braid"}, readers

@@ -205,6 +205,9 @@ def test_parse_wiring_errors():
         parse_wiring("n 3\nB: 1")  # braid before partition
     with pytest.raises(WiringError):
         parse_wiring("n 3")  # no events
+    for n in (0, -1):
+        with pytest.raises(WiringError, match="^line 1: strand count must be positive$"):
+            parse_wiring(f"n {n}\nI: 1")
 
 
 def consecutive_partitions(n):
