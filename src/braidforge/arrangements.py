@@ -336,12 +336,18 @@ def _typeb_position_name(q: int, j: int) -> str:
 
 
 def build_monomial_tower(r: int, n: int) -> list[TowerLevel]:
-    """Monomial tower; level j's braids are the monomial braids at (r, j-1)."""
+    """Monomial tower; level j's braids are the monomial braids at (r, j-1).
+
+    Each fiber generator is named after the braid of its loop
+    (``monomial._expected_A_pairs``): the strand of x_i zeta^p is A[i,j;r-p],
+    with r for p = r, so a name means the same ``monomial.A`` as a fiber
+    generator and as a lower generator.
+    """
     levels = []
     for j in range(1, n + 1):
         names = ["Z[%d]" % j]
         for i in range(1, j):
-            names.extend(f"A[{i},{j};{p}]" for p in range(1, r + 1))
+            names.extend(f"A[{i},{j};{r - p or r}]" for p in range(1, r + 1))
         braids: dict[str, BraidWord] = {}
         if j > 1:
             prm = mono.MonomialParams(r, j - 1)

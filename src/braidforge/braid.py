@@ -275,8 +275,6 @@ def linking_numbers(b: BraidWord) -> list[list[int]]:
     A_{i,j}, computed by direct crossing counting, independently of the
     Artin representation.
     """
-    if not permutation(b).is_identity:
-        raise BraidError("linking numbers are defined for pure braids only")
     n = b.strands
     counts = [[0] * n for _ in range(n)]
     at = list(range(n))
@@ -286,7 +284,9 @@ def linking_numbers(b: BraidWord) -> list[list[int]]:
         sign = 1 if x > 0 else -1
         counts[a][c] += sign
         counts[c][a] += sign
-        at[i], at[i + 1] = at[i + 1], at[i]
+        at[i], at[i + 1] = c, a
+    if at != list(range(n)):
+        raise BraidError("linking numbers are defined for pure braids only")
     for a in range(n):
         for c in range(n):
             if counts[a][c] % 2 != 0:

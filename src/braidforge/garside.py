@@ -120,7 +120,8 @@ class _Product:
     flips ``twist``, and tau is applied to the factors once, in ``result``.
     Each new factor is swept leftwards by ``_left_weight`` (one step carries a
     Delta past a factor); a normal form multiplied onto no stored factors is
-    already left-weighted and is taken as it is, under tau if ``twist`` is odd.
+    already left-weighted and is taken as it is, with ``twist`` reset, since
+    tau^twist of no factors is the identity.
     """
 
     def __init__(self, n: int):
@@ -190,8 +191,9 @@ class _Product:
         if self.factors:
             for s in y.factors:
                 self.simple(s)
-        else:  # a normal form is already left-weighted
-            self.factors = [simple_tau(s) if self.twist else s for s in y.factors]
+        else:  # a normal form is already left-weighted, and tau moves no factor
+            self.twist = 0
+            self.factors = list(y.factors)
 
     def result(self) -> NormalForm:
         factors = self.factors

@@ -471,13 +471,16 @@ def _tower_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) -> lis
 def _certify_tower(pres: HolonomyPresentation) -> None:
     """Validate the level/flat structure and the derivation certificate.
 
-    Checks, in order: every flat has exactly one member below its top level;
-    every mixed-level pair lies in exactly one flat; every flat relation is
-    in the span of the presented relations; every presented relation maps to
-    zero in the semidirect sum defined by the flats; and the induced
-    derivation action of the lower levels kills their presented relations
-    on every higher level, an identity checked in degree 2.  Failure of any
-    check raises.
+    (a) Every flat has exactly one member below its top level, and every
+    mixed-level pair lies in exactly one flat.  Then the flat relations are
+    independent, one per mixed pair, and span the kernel of the degree-2
+    map onto the semidirect sum of the per-level free Lie algebras.  (b)
+    Every flat relation lies in the presented span, and the presented rank
+    equals their number; together these say that the presented span is the
+    flat span, so every presented relation vanishes in the semidirect sum,
+    whichever basis of the span is given.  (c) The induced derivation action
+    of the lower levels kills their flat relations on every higher level,
+    an identity checked in degree 2.  Failure of any check raises.
     """
     levels = pres.levels
     flats = pres.flats
@@ -494,9 +497,8 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
 
     pair_flat: dict[tuple[int, int], int] = {}
     for fi, flat in enumerate(flats):
-        tops = [g for g in flat if levels[g] == max(levels[g] for g in flat)]
-        lowers = [g for g in flat if g not in tops]
-        if len(lowers) != 1:
+        top = max(levels[g] for g in flat)
+        if sum(levels[g] < top for g in flat) != 1:
             raise LieError(
                 f"flat {flat} does not have exactly one member below its top level"
             )
@@ -510,14 +512,25 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
                 raise LieError(f"mixed pair ({a},{b}) is not covered by any flat")
 
     # flat relations lie in the presented span (degree-2 elimination); an
-    # install raises at once, so the pivot table needs no copy
+    # install raises at once, so the pivot table needs no copy.  Each flat
+    # relation is kept only as its flat's top level and its [x_a, x_b]
+    # pairs (0-based) for (c).
     _, pivots = _rank_of_rows(dict(rel.terms) for rel in pres.relations)
+    split = []
     for flat in flats:
+        top = max(levels[g] for g in flat)
         for rel in flat_relations([g + 1 for g in flat]):
             if _echelon_insert(pivots, dict(rel.terms)):
                 raise LieError(
                     f"flat relation for {flat} is not implied by the presentation"
                 )
+            split.append((top, [((w[0] - 1, w[1] - 1), c) for w, c in rel.terms.items()]))
+    # the flat relations are a basis of the kernel, so a larger presented
+    # rank means some presented relation survives in the semidirect sum
+    if len(pivots) != len(split):
+        raise LieError(
+            "presented relation does not vanish in the semidirect sum; certificate fails"
+        )
 
     # Degree-2 rows on one level's local letters are keyed by the integer
     # code u*M + v of the Lyndon word (u, v), u < v.
@@ -545,33 +558,10 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
             _accumulate(terms, lie2(u, v))
         return tuple(terms.items())
 
-    # each relation as [x_a, x_b] combinations (0-based), split once
-    split = [
-        [((w[0] - 1, w[1] - 1), c) for w, c in rel.terms.items()]
-        for rel in pres.relations
-    ]
-
-    # every presented relation maps to zero in the semidirect sum
-    for pairs in split:
-        images: dict[int, dict] = {}
-        for (a, b), coeff in pairs:
-            la, lb = levels[a], levels[b]
-            if la == lb:
-                lv, img = la, lie2(local_index[a], local_index[b])
-            elif la < lb:
-                lv, img = lb, omega(a, b)
-            else:
-                lv, img, coeff = la, omega(b, a), -coeff
-            _accumulate(images.setdefault(lv, {}), img, coeff)
-        for lv, img in images.items():
-            if img:
-                raise LieError(
-                    f"presented relation does not vanish in the level-{lv} "
-                    "semidirect sum; certificate fails"
-                )
-
-    # lower relations act trivially on every higher level: a relation
-    # sum c [x_a, x_b] whose support tops out below lv must satisfy
+    # lower relations act trivially on every higher level.  A relation whose
+    # support tops out below lv is a combination of the flat relations of
+    # the flats below lv (a flat's relations are fixed by its own mixed
+    # pairs), so each of those, sum c [x_a, x_b], must satisfy
     # sum c (D_a D_b - D_b D_a) y = 0 for each generator y of level lv.  By
     # Jacobi (D_a D_b - D_b D_a) y = [y, E_ab] with E_ab of degree 2, and in
     # a free Lie algebra [y, E] = 0 only for E = 0 (the centraliser of a
@@ -595,11 +585,8 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     # [y, y] = 0, so only relations and pairs with a mover are summed.
     # E_ab depends on y, so it is cached per level generator and shared
     # across relations.
-    tops = [
-        (max(levels[g] for ab, _ in pairs for g in ab), pairs) for pairs in split if pairs
-    ]
     for lv in sorted(by_level)[1:]:
-        lower = [pairs for top, pairs in tops if top < lv]
+        lower = [pairs for top, pairs in split if top < lv]
         containing: dict[int, set[int]] = {}
         for ri, pairs in enumerate(lower):
             for ab, _ in pairs:

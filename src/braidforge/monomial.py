@@ -425,9 +425,11 @@ def verify_presentation(prm: MonomialParams) -> Report:
 def _expected_A_pairs(i: int, j: int, p: int, prm: MonomialParams) -> set[tuple[int, int]]:
     """Strand pairs twisted by A^{(p)}_{i,j}: orbit point i*zeta^{q-p} with j*zeta^q.
 
-    The r pairs are disjoint and shifted by p; with the strand numbering of
-    this module the shift computed from the defining words is q - p mod r
-    (the two zeta-orientations coincide for r <= 2).
+    The r pairs are disjoint and shifted by p: A^{(p)}_{i,j} is the loop of
+    x_j around x_i zeta^{-p}.  This fixes the naming convention of the
+    monomial tower, where the fiber strand of x_i zeta^p is named
+    A[i,j;r-p] (A[i,j;r] for p = r), so that a name means the same braid
+    as a fiber generator and as a lower generator.
     """
     pairs = set()
     for q in range(1, prm.r + 1):

@@ -174,8 +174,12 @@ def test_linking_numbers():
         (1, 3): 1,
         (2, 3): 1,
     }
-    with pytest.raises(BraidError):
+    with pytest.raises(BraidError, match="defined for pure braids only"):
         linking_numbers(braid(3, [1]))
+    # strands 1 and 2 cross once and the braid is not pure: purity is
+    # reported before the odd crossing count
+    with pytest.raises(BraidError, match="defined for pure braids only"):
+        linking_numbers(braid(3, [1, 2, 2]))
 
 
 def test_linking_additive_under_multiplication():

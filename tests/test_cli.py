@@ -331,6 +331,8 @@ def test_monodromy_golden_file():
         pytest.param("present typeb --n 3", "golden_present_typeb_n3.txt", id="present-typeb"),
         pytest.param("present monomial --r 2 --n 3",
                      "golden_present_monomial_r2_n3.txt", id="present-monomial"),
+        pytest.param("present monomial --r 3 --n 3",
+                     "golden_present_monomial_r3_n3.txt", id="present-monomial-r3"),
     ],
 )
 def test_monomial_suite_golden_file(argv, golden):

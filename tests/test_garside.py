@@ -182,3 +182,20 @@ def test_product_keeps_the_first_operand(case):
             for s in f.factors:
                 by_factor.simple(s)
         assert got == by_factor.result()
+
+
+def test_product_of_one_form_applies_no_tau(monkeypatch):
+    """A first operand with an odd Delta power is stored as it is: tau acts on no factor."""
+    n = 5
+    x = nf(n, [-1, 2, -3, 4, 1, 2])
+    assert x.power & 1 and x.factors
+    calls = []
+    real_tau = garside.simple_tau
+
+    def counted(a):
+        calls.append(a)
+        return real_tau(a)
+
+    monkeypatch.setattr(garside, "simple_tau", counted)
+    assert garside.product(n, [x]) == x
+    assert calls == []

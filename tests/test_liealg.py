@@ -311,6 +311,22 @@ def test_tower_certificate_rejects_corruption():
         graded_ranks(bad, 3, method="tower")
 
 
+def test_tower_certificate_does_not_depend_on_the_relation_basis():
+    # the presentation above with [a, b] replaced by [a, b] + [a+c+d, d],
+    # another flat relation: the span is the same, but no presented relation
+    # now tops out below level 3.  The canary is off (limit 5), so only the
+    # certificate stands between the Witt sums [5, 3, 8] and the output.
+    flats = ((0, 1), (0, 2, 3), (0, 4), (1, 3, 4), (1, 2))
+    rels = [rel for f in flats for rel in flat_relations([g + 1 for g in f])]
+    a, c, d = generator(1), generator(3), generator(4)
+    assert rels[0] == bracket(a, generator(2))
+    rels[0] = rels[0] + bracket(a + c + d, d)
+    swapped = HolonomyPresentation(5, tuple("abcde"), tuple(rels), (1, 2, 3, 3, 3), flats)
+    assert graded_ranks(swapped, 3, method="elimination") == [5, 3, 6]
+    with pytest.raises(LieError, match="acts nontrivially on level 3"):
+        graded_ranks(swapped, 3, method="tower", elimination_limit=5)
+
+
 def test_tower_certificate_checks_every_top_level_generator():
     # Level 3 is c, d, e, f.  a acts on d, e and b on e, f; neither moves c,
     # so [D_a, D_b] kills c, the first generator of the level, but sends d to
@@ -357,6 +373,32 @@ def tower_structures(draw):
     rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
     labels = tuple(f"g{g}" for g in range(len(levels)))
     return HolonomyPresentation(len(levels), labels, rels, levels, tuple(flats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_structures(), st.data())
+def test_tower_verdict_ignores_top_level_relations_added_below(pres, data):
+    # adding top-level flat relations to the lower ones changes the basis of
+    # the relation span, not the span, so the certificate must not change
+    # its verdict (limit 0 turns the elimination canary off when d > 1)
+    def verdict(p):
+        try:
+            return graded_ranks(p, 3, method="tower", elimination_limit=0)
+        except LieError as exc:
+            return str(exc)
+
+    def top_of(rel):
+        return max(pres.levels[g - 1] for w in rel.terms for g in w)
+
+    top = max(pres.levels)
+    tops = [rel for rel in pres.relations if top_of(rel) == top]
+    rels = list(pres.relations)
+    for i, rel in enumerate(rels):
+        if tops and top_of(rel) < top:
+            extra = data.draw(st.sampled_from(tops))
+            rels[i] = rel + scaled(extra, data.draw(st.sampled_from([-2, -1, 1, 2])))
+    mixed = HolonomyPresentation(pres.d, pres.labels, tuple(rels), pres.levels, pres.flats)
+    assert verdict(mixed) == verdict(pres)
 
 
 def scaled(x, c):
@@ -665,6 +707,31 @@ def test_r2_flats_correspond_to_typeb_tower_flats():
             rename[name] = "b[" + name[2:-3] + "]"
     renamed = {frozenset(rename[x] for x in flat) for flat in name_sets(mo)}
     assert renamed == name_sets(tb)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_monomial_tower_flats_equal_monomial_flats(r, n):
+    # the linking blocks of the tower's braids give the arrangement's flats
+    # under H[j] = Z[j] and H[i,j;p] = A[i,j;p]: each fiber generator is
+    # named after the braid of its loop
+    from braidforge.arrangements import build_monomial_tower
+
+    def name(h):
+        return ("A" if h.i else "Z") + h.label()[1:]
+
+    hp = ft_bracket_relations(build_monomial_tower(r, n))
+    tower = {frozenset(hp.labels[i] for i in flat) for flat in hp.flats}
+    assert tower == {frozenset(name(h) for h in flat) for flat in monomial_flats(r, n)}
+
+
+def test_monomial_tower_is_certified():
+    from braidforge.arrangements import build_monomial_tower, exponents
+
+    hp = ft_bracket_relations(build_monomial_tower(4, 4))
+    ranks = graded_ranks(hp, 4, method="tower")
+    assert ranks == [sum(witt_rank(d, k) for d in exponents(4, 4)) for k in range(1, 5)]
+    assert ranks == [28, 124, 1008, 8868]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
