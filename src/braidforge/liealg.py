@@ -24,12 +24,14 @@ degree-two relations) are computed two ways:
   single lower member); the lower bound is a machine-checked surjection
   onto the semidirect sum of the per-level free Lie algebras, which exists
   precisely when the induced derivation action kills the lower-level
-  relations.  Both sides are exact; no numerics anywhere.
+  relations.  That is decided on the flats alone, by set operations: the
+  blocks that the members of each lower flat cut on a higher level must
+  close up into a partition.  Both sides are exact; no numerics anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -224,7 +226,8 @@ class HolonomyPresentation:
     ``levels`` assigns each generator its tower level, and ``flats`` lists
     codimension-two flats as tuples of 0-based generator indices; both are
     needed only by the certified rank path.  A flat may not repeat a member,
-    and no pair of generators may lie in two flats.
+    and no pair of generators may lie in two flats; the certificate's
+    block-closure check (c) relies on that.
     """
 
     d: int
@@ -479,134 +482,79 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     equals their number; together these say that the presented span is the
     flat span, so every presented relation vanishes in the semidirect sum,
     whichever basis of the span is given.  (c) The induced derivation action
-    of the lower levels kills their flat relations on every higher level,
-    an identity checked in degree 2.  Failure of any check raises.
+    of the lower levels kills their flat relations on every higher level.
+    That holds exactly when, for every flat below a level, the blocks its
+    members cut on the level close up into a partition; the proof is at the
+    check.  Failure of any check raises.
     """
     levels = pres.levels
     flats = pres.flats
     assert levels is not None and flats is not None
 
-    by_level: dict[int, list[int]] = {}
-    for i, lv in enumerate(levels):
-        by_level.setdefault(lv, []).append(i)
-    # each generator's 1-based position within its level
-    local_index: dict[int, int] = {}
-    for members in by_level.values():
-        for li, gi in enumerate(members, start=1):
-            local_index[gi] = li
-
-    pair_flat: dict[tuple[int, int], int] = {}
-    for fi, flat in enumerate(flats):
+    # A flat {x} + B, with x below the level lv of B, puts B in one block of
+    # x on lv; only blocks of two or more members are kept.
+    blocks: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    covered: set[tuple[int, int]] = set()
+    for flat in flats:
         top = max(levels[g] for g in flat)
-        if sum(levels[g] < top for g in flat) != 1:
+        lower = [g for g in flat if levels[g] < top]
+        if len(lower) != 1:
             raise LieError(
                 f"flat {flat} does not have exactly one member below its top level"
             )
-        for a in flat:
-            for b in flat:
-                if a < b and levels[a] != levels[b]:
-                    pair_flat[a, b] = fi
+        if len(flat) > 2:
+            block = tuple(g for g in flat if levels[g] == top)
+            blocks.setdefault((lower[0], top), []).append(block)
+        covered.update((a, b) for a in flat for b in flat if a < b and levels[a] != levels[b])
     for a in range(pres.d):
         for b in range(a + 1, pres.d):
-            if levels[a] != levels[b] and (a, b) not in pair_flat:
+            if levels[a] != levels[b] and (a, b) not in covered:
                 raise LieError(f"mixed pair ({a},{b}) is not covered by any flat")
 
     # flat relations lie in the presented span (degree-2 elimination); an
-    # install raises at once, so the pivot table needs no copy.  Each flat
-    # relation is kept only as its flat's top level and its [x_a, x_b]
-    # pairs (0-based) for (c).
+    # install raises at once, so the pivot table needs no copy
     _, pivots = _rank_of_rows(dict(rel.terms) for rel in pres.relations)
-    split = []
     for flat in flats:
-        top = max(levels[g] for g in flat)
         for rel in flat_relations([g + 1 for g in flat]):
             if _echelon_insert(pivots, dict(rel.terms)):
                 raise LieError(
                     f"flat relation for {flat} is not implied by the presentation"
                 )
-            split.append((top, [((w[0] - 1, w[1] - 1), c) for w, c in rel.terms.items()]))
     # the flat relations are a basis of the kernel, so a larger presented
     # rank means some presented relation survives in the semidirect sum
-    if len(pivots) != len(split):
+    if len(pivots) != sum(len(flat) - 1 for flat in flats):
         raise LieError(
             "presented relation does not vanish in the semidirect sum; certificate fails"
         )
 
-    # Degree-2 rows on one level's local letters are keyed by the integer
-    # code u*M + v of the Lyndon word (u, v), u < v.
-    M = max(len(members) for members in by_level.values()) + 1
-
-    def lie2(u: int, v: int) -> tuple:
-        """[x_u, x_v] on local letters u, v."""
-        if u < v:
-            return ((u * M + v, 1),)
-        return ((v * M + u, -1),) if v < u else ()
-
-    # The derivation action of a lower generator x on level lv, in the local
-    # Lyndon coordinates of that level: D_x y = [y, s_x(y)], where the flat
-    # sum s_x(y) lists the level-lv members of the flat through x and y.
-    @cache
-    def flat_sum(x: int, y: int) -> tuple[int, ...]:
-        flat = flats[pair_flat[(min(x, y), max(x, y))]]
-        return tuple(local_index[z] for z in flat if levels[z] == levels[y])
-
-    @cache
-    def omega(x: int, y: int) -> tuple:
-        u = local_index[y]
-        terms: dict[int, int] = {}
-        for v in flat_sum(x, y):
-            _accumulate(terms, lie2(u, v))
-        return tuple(terms.items())
-
-    # lower relations act trivially on every higher level.  A relation whose
-    # support tops out below lv is a combination of the flat relations of
-    # the flats below lv (a flat's relations are fixed by its own mixed
-    # pairs), so each of those, sum c [x_a, x_b], must satisfy
-    # sum c (D_a D_b - D_b D_a) y = 0 for each generator y of level lv.  By
-    # Jacobi (D_a D_b - D_b D_a) y = [y, E_ab] with E_ab of degree 2, and in
-    # a free Lie algebra [y, E] = 0 only for E = 0 (the centraliser of a
-    # generator is its span), so the check is sum c E_ab = 0.
-    def jacobi(a: int, b: int, y: int) -> tuple:
-        """E_ab = [s_a(y), s_b(y)] + D_a s_b(y) - D_b s_a(y) on y's level."""
-        members = by_level[levels[y]]
-        sa, sb = flat_sum(a, y), flat_sum(b, y)
-        terms: dict[int, int] = {}
-        for u in sa:
-            for v in sb:
-                _accumulate(terms, lie2(u, v))
-        for v in sb:
-            _accumulate(terms, omega(a, members[v - 1]))
-        for u in sa:
-            _accumulate(terms, omega(b, members[u - 1]), -1)
-        return tuple(terms.items())
-
-    # x moves y when its flat sum s_x(y) is more than y itself.  If neither
-    # a nor b moves y then s_a(y) = s_b(y) = y and every term of E_ab is
-    # [y, y] = 0, so only relations and pairs with a mover are summed.
-    # E_ab depends on y, so it is cached per level generator and shared
-    # across relations.
-    for lv in sorted(by_level)[1:]:
-        lower = [pairs for top, pairs in split if top < lv]
-        containing: dict[int, set[int]] = {}
-        for ri, pairs in enumerate(lower):
-            for ab, _ in pairs:
-                for g in ab:
-                    containing.setdefault(g, set()).add(ri)
-        for y in by_level[lv]:
-            movers = {x for x in containing if len(flat_sum(x, y)) > 1}
-            cached: dict[tuple[int, int], tuple] = {}
-            for ri in set().union(*(containing[x] for x in movers)):
-                total: dict[int, int] = {}
-                for ab, coeff in lower[ri]:
-                    if ab[0] not in movers and ab[1] not in movers:
-                        continue
-                    e = cached.get(ab)
-                    if e is None:
-                        e = cached[ab] = jacobi(*ab, y)
-                    if e:
-                        _accumulate(total, e, coeff)
-                if total:
-                    raise LieError(
-                        f"lower-level relation acts nontrivially on level {lv}; "
-                        "certificate fails"
-                    )
+    # Lower relations act trivially on every higher level lv.  Those below lv
+    # are combinations of the relations [sum F, x], x in F, of the flats F
+    # below lv, which act as [D_F, D_x] with D_F the sum of D_x over F.  A
+    # generator x below lv acts by D_x y = [y, sum S], S the block of x
+    # through y (the level's members of the flat through x and y).  These
+    # blocks partition the level, so D_x is the sum of d_S over them, with
+    # d_S z = [z, sum S] on S and 0 off it, and by Jacobi d_S and d_T commute
+    # when S and T are disjoint or nested.  Join y and z when some x in F
+    # puts them in one block; no two members of F join the same pair, as
+    # that pair would lie in two flats.
+    # * If every joined class U is a clique, then D_F is the sum of d_U, each
+    #   block of each D_x lies in some U, and so [D_F, D_x] = 0.
+    # * If y-z-w are joined but y and w are not, and x joins y and z, then
+    #   [D_F, D_x] z = [z, E] where [y, w] has coefficient -1 in E, and in a
+    #   free Lie algebra [z, E] = 0 only for E = 0.
+    # Levels ascend, so the lowest failing level is the one named.
+    for lv in sorted(set(levels))[1:]:
+        for flat in flats:
+            if max(levels[g] for g in flat) >= lv:
+                continue
+            joined: dict[int, set[int]] = {}
+            for x in flat:
+                for block in blocks.get((x, lv), ()):
+                    for y in block:
+                        joined.setdefault(y, set()).update(block)
+            # each class is a clique: all that y joins join the same set
+            if any(joined[z] != near for near in joined.values() for z in near):
+                raise LieError(
+                    f"lower-level relation acts nontrivially on level {lv}; "
+                    "certificate fails"
+                )

@@ -190,3 +190,13 @@ def test_only_braid_multiplies_normal_forms(name):
     # module turns parts' forms into a product's form
     readers = _readers(("garside", name))
     assert readers and {path.split(".")[0] for path in readers} == {"braid"}, readers
+
+
+def test_tower_certificate_does_no_lie_arithmetic():
+    # the certificate decides the lower-level action from the blocks the
+    # flats cut on each level; its only Lie rows are the flat relations,
+    # built by liealg.flat_relations
+    for name in ("_accumulate", "_bracket_pair"):
+        readers = _readers(("liealg", name))
+        inside = {path for path in readers if path.split(".")[:2] == ["liealg", "_certify_tower"]}
+        assert not inside, f"{name} is read by {sorted(inside)}"

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -459,6 +459,65 @@ def test_tower_lower_level_check_matches_degree_three_oracle(pres):
     ]
     assert graded_ranks(pres, 3, method="tower") == witt
     assert graded_ranks(pres, 3, method="elimination") == witt
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield part[:i] + [[first, *part[i]]] + part[i + 1:]
+
+
+@pytest.mark.parametrize(
+    "levels,count",
+    [((1, 2, 3, 3, 3, 3), 113), ((1, 2, 2, 3, 3, 3), 37), ((1, 2, 2, 3, 3, 3, 3), 637)],
+    ids=["F=ab-level3=4", "F=abc-level3=3", "F=abc-level3=4"],
+)
+def test_tower_lower_level_check_matches_oracle_on_every_small_structure(levels, count):
+    # F is the one flat below level 3.  Each member of F cuts level 3 into
+    # blocks in every possible way; the structures that put a pair into two
+    # flats are not presentations and are skipped.
+    lower = [g for g, lv in enumerate(levels) if lv < 3]
+    top = [g for g, lv in enumerate(levels) if lv == 3]
+    labels = tuple(f"g{g}" for g in range(len(levels)))
+    valid = 0
+    for parts in product(list(set_partitions(top)), repeat=len(lower)):
+        flats = (tuple(lower),) + tuple(
+            (x, *block) for x, part in zip(lower, parts) for block in part
+        )
+        rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
+        try:
+            pres = HolonomyPresentation(len(levels), labels, rels, levels, flats)
+        except LieError:
+            continue
+        valid += 1
+        if lower_relation_moves_a_level(pres):
+            with pytest.raises(LieError, match="acts nontrivially on level 3"):
+                graded_ranks(pres, 3, method="tower", elimination_limit=0)
+        else:
+            graded_ranks(pres, 3, method="tower", elimination_limit=0)
+    assert valid == count
+
+
+def test_tower_certificate_names_the_lowest_failing_level():
+    # The flat (a, b1) fails only on level 4: a cuts that level into f, g | h
+    # and b1 into f | g, h.  The flat (a, b2) fails on level 3: a cuts c, d | e and
+    # b2 cuts c | d, e.  Levels are checked in ascending order, so level 3 is
+    # named although (a, b1) is listed first.
+    names = "a b1 b2 c d e f g h".split()
+    text = "a,b1 a,b2 a,c,d a,e b1,c b1,d b1,e b2,c b2,d,e a,f,g a,h b1,f b1,g,h b2,f b2,g b2,h"
+    flats = [tuple(names.index(m) for m in f.split(",")) for f in text.split()]
+    flats += [(y, z) for y in (3, 4, 5) for z in (6, 7, 8)]
+    rels = tuple(rel for f in flats for rel in flat_relations([g + 1 for g in f]))
+    levels = (1, 2, 2, 3, 3, 3, 4, 4, 4)
+    pres = HolonomyPresentation(9, tuple(names), rels, levels, tuple(flats))
+    with pytest.raises(LieError, match="acts nontrivially on level 3;"):
+        graded_ranks(pres, 3, method="tower", elimination_limit=0)
 
 
 def fraction_rank(rows, cols):
