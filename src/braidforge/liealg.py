@@ -400,8 +400,14 @@ def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) 
     """The ideal recurrence I_{k+1} = [L_1, I_k] on integer-coded Lyndon words.
 
     Rows are keyed by ``_word_code``, so each pivot leads with its lex-largest
-    word; that keeps pivots sparser than lex-least leads do.  The images
-    [x_g, b(w)] are coded once per run, in one table per generator g.
+    word; that keeps pivots sparser than lex-least leads do.  The rows
+    [x_g, p] of the next degree go in generator-major, g ascending.  For
+    g <= w[0] the bracket [x_g, b(w)] is the one basis element b(gw), so the
+    rows of a small generator are mostly copies of pivots shifted by g, with
+    distinct leads (g,) + lead(p); they install with little reduction, and the
+    rows of later generators reduce against these sparse pivots.  Ranks do
+    not depend on the order.  The coded images [x_g, b(w)] of the current
+    generator are kept in one table, dropped when g is done.
     """
     d = pres.d
     reach = _elimination_reach(d, max_degree, limit)
@@ -426,11 +432,10 @@ def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) 
         ranks.append(witt_rank(d, k) - len(pivots))
         if k == max_degree:
             break
-        images: list[dict[int, tuple]] = [{} for _ in range(d + 1)]
         next_pivots: dict[int, dict] = {}
-        for row in pivots.values():
-            for gen in range(1, d + 1):
-                image = images[gen]
+        for gen in range(1, d + 1):
+            image: dict[int, tuple] = {}
+            for row in pivots.values():
                 terms: dict[int, int] = {}
                 for code, c in row.items():
                     items = image.get(code)
@@ -495,8 +500,10 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     # x on lv; only blocks of two or more members are kept.
     blocks: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     covered: set[tuple[int, int]] = set()
+    tops: list[int] = []
     for flat in flats:
         top = max(levels[g] for g in flat)
+        tops.append(top)
         lower = [g for g in flat if levels[g] < top]
         if len(lower) != 1:
             raise LieError(
@@ -544,8 +551,8 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     #   free Lie algebra [z, E] = 0 only for E = 0.
     # Levels ascend, so the lowest failing level is the one named.
     for lv in sorted(set(levels))[1:]:
-        for flat in flats:
-            if max(levels[g] for g in flat) >= lv:
+        for flat, top in zip(flats, tops):
+            if top >= lv:
                 continue
             joined: dict[int, set[int]] = {}
             for x in flat:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .braid import (
     BraidWord,
@@ -267,21 +268,17 @@ def wiring_from_real_lines(lines: list[RealLine]) -> WiringDiagram:
     events_x = sorted(xs, reverse=True)
 
     n = len(lines)
-    x0 = events_x[0] + 1
-    base_order = sorted(lines, key=lambda l: l.value(x0))
-
     events: list[tuple[ConsecutivePartition, BraidWord]] = []
     for xe in events_x:
-        # Vertical order just right of the event: by value at x_e, then slope.
-        ordered = sorted(base_order, key=lambda l: (l.value(xe), l.slope))
+        # Wires meet in the order of their values at x_e, and lines through
+        # one point share that value: the runs of equal sorted values are the
+        # event's blocks, bottom to top.
         blocks: list[tuple[int, ...]] = []
         pos = 1
-        while pos <= n:
-            stop = pos
-            while stop < n and ordered[stop].value(xe) == ordered[pos - 1].value(xe):
-                stop += 1
-            blocks.append(tuple(range(pos, stop + 1)))
-            pos = stop + 1
+        for _, meeting in groupby(sorted(l.value(xe) for l in lines)):
+            stop = pos + sum(1 for _ in meeting)
+            blocks.append(tuple(range(pos, stop)))
+            pos = stop
         events.append((ConsecutivePartition(n, tuple(blocks)), empty_braid(n)))
     return WiringDiagram(n, tuple(events))
 
