@@ -43,6 +43,7 @@ __all__ = [
     "typeb_monodromy_closed",
     "typeb_wiring_cross_check",
     "exponents",
+    "typeb_hyperplane",
     "monomial_flats",
     "build_typeb_tower",
     "build_monomial_tower",
@@ -82,7 +83,7 @@ def typeb_lines(n: int) -> list[RealLine]:
 
 
 class BSym(NamedTuple):
-    """A type-B meridian symbol: c_j, a_{i,j}, or b_{i,j} (i = 0 for c)."""
+    """A type-B meridian symbol on level j: c_j, a_{i,j}, or b_{i,j} (i = 0 for c)."""
 
     kind: str
     i: int
@@ -92,6 +93,10 @@ class BSym(NamedTuple):
         if self.kind == "c":
             return f"c[{self.j}]"
         return f"{self.kind}[{self.i},{self.j}]"
+
+    @property
+    def level(self) -> int:
+        return self.j
 
 
 def c_sym(j: int) -> BSym:
@@ -182,7 +187,10 @@ def exponents(r: int, n: int) -> list[int]:
 
 
 class Hyperplane(NamedTuple):
-    """A monomial-arrangement hyperplane: H_j when i = p = 0, else H^{(p)}_{i,j}."""
+    """A monomial-arrangement hyperplane: H_j when i = p = 0, else H^{(p)}_{i,j}.
+
+    It is also the tower generator Z_j or A^{(p)}_{i,j} on level j, labelled so.
+    """
 
     i: int
     j: int
@@ -190,8 +198,8 @@ class Hyperplane(NamedTuple):
 
     def label(self) -> str:
         if self.i == 0:
-            return f"H[{self.j}]"
-        return f"H[{self.i},{self.j};{self.p}]"
+            return f"Z[{self.j}]"
+        return f"A[{self.i},{self.j};{self.p}]"
 
     @property
     def level(self) -> int:
@@ -214,6 +222,14 @@ def monomial_hyperplanes(r: int, n: int) -> list[Hyperplane]:
         for i in range(1, j):
             out.extend(a_hyp(i, j, p) for p in range(1, r + 1))
     return out
+
+
+def typeb_hyperplane(sym: BSym) -> Hyperplane:
+    """The r = 2 hyperplane of a type-B symbol: c_j is H_j, a_{i,j} is
+    H^{(2)}_{i,j} and b_{i,j} is H^{(1)}_{i,j}."""
+    if sym.kind == "c":
+        return z_hyp(sym.j)
+    return a_hyp(sym.i, sym.j, 2 if sym.kind == "a" else 1)
 
 
 def monomial_flats(r: int, n: int) -> list[tuple[Hyperplane, ...]]:
@@ -265,43 +281,34 @@ def monomial_flats(r: int, n: int) -> list[tuple[Hyperplane, ...]]:
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One level of a fiber-type tower: its fiber rank and monodromy braids.
+    """One level of a fiber-type tower: its generators and monodromy braids.
 
-    ``braids`` maps every lower-level generator name to the pure braid it
-    induces on this level's fiber strands.
+    ``gens`` are symbols of this ``level`` in fiber-strand order; ``braids``
+    maps every lower-level symbol to the pure braid it induces on them.
     """
 
     level: int
-    gen_names: tuple[str, ...]
-    braids: dict[str, BraidWord]
+    gens: tuple[Hyperplane | BSym, ...]
+    braids: dict[Hyperplane | BSym, BraidWord]
 
     @property
     def rank(self) -> int:
-        return len(self.gen_names)
+        return len(self.gens)
 
     def __post_init__(self) -> None:
-        for name, b in self.braids.items():
+        for sym, b in self.braids.items():
             if b.strands != self.rank:
-                raise ArrangementError(f"braid for {name} has wrong strand count")
+                raise ArrangementError(f"braid for {sym.label()} has wrong strand count")
             if not permutation(b).is_identity:
-                raise ArrangementError(f"braid for {name} is not pure")
-
-
-@dataclass(frozen=True)
-class GenInfo:
-    name: str
-    level: int
-    position: int
-
-    def label(self) -> str:
-        return self.name
+                raise ArrangementError(f"braid for {sym.label()} is not pure")
 
 
 @dataclass(frozen=True)
 class Relation:
-    conj: str
-    target: str
-    level: int
+    """x^-1 y x = rhs, with rhs a word over the generators of y's level."""
+
+    conj: Hyperplane | BSym
+    target: Hyperplane | BSym
     rhs: Word
 
 
@@ -309,64 +316,66 @@ class Relation:
 class Presentation:
     """Iterated semidirect-product presentation: conjugation relations only."""
 
-    generators: tuple[GenInfo, ...]
+    generators: tuple[Hyperplane | BSym, ...]
     relations: tuple[Relation, ...]
 
 
 def build_typeb_tower(n: int) -> list[TowerLevel]:
-    """Type-B tower; level j carries the closed-form braids of rank j-1."""
+    """Type-B tower; level j carries the closed-form braids of rank j-1.
+
+    Its strands are ``typeb_lines(j - 1)``: slope -k is b_{k,j}, 0 is c_j, k is a_{k,j}.
+    """
     levels = []
     for j in range(1, n + 1):
-        names = tuple(_typeb_position_name(q, j) for q in range(1, 2 * j))
-        braids: dict[str, BraidWord] = {}
-        if j > 1:
-            chi = typeb_monodromy_closed(j - 1)
-            for sym, b in chi.items():
-                braids[sym.label()] = b
-        levels.append(TowerLevel(j, names, braids))
+        gens = (
+            tuple(b_sym(i, j) for i in range(j - 1, 0, -1))
+            + (c_sym(j),)
+            + tuple(a_sym(i, j) for i in range(1, j))
+        )
+        levels.append(TowerLevel(j, gens, typeb_monodromy_closed(j - 1) if j > 1 else {}))
     return levels
 
 
-def _typeb_position_name(q: int, j: int) -> str:
-    if q < j:
-        return b_sym(j - q, j).label()
-    if q == j:
-        return c_sym(j).label()
-    return a_sym(q - j, j).label()
+def _monomial_braid(h: Hyperplane, r: int, n: int) -> BraidWord:
+    """The monomial braid Z_j or A^{(p)}_{i,j} of a hyperplane, at (r, n)."""
+    prm = mono.MonomialParams(r, n)
+    return mono.Z(h.j, prm) if h.i == 0 else mono.A(h.i, h.j, h.p, prm)
 
 
 def build_monomial_tower(r: int, n: int) -> list[TowerLevel]:
     """Monomial tower; level j's braids are the monomial braids at (r, j-1).
 
-    Each fiber generator is named after the braid of its loop
-    (``monomial._expected_A_pairs``): the strand of x_i zeta^p is A[i,j;r-p],
-    with r for p = r, so a name means the same ``monomial.A`` as a fiber
-    generator and as a lower generator.
+    Each fiber generator is the hyperplane whose braid is its loop
+    (``monomial._expected_A_pairs``): the strand of x_i zeta^p is
+    Hyperplane(i, j, r-p), with r for p = r, so a symbol means the same
+    ``monomial.A`` as a fiber generator and as a lower generator.
     """
     levels = []
     for j in range(1, n + 1):
-        names = ["Z[%d]" % j]
-        for i in range(1, j):
-            names.extend(f"A[{i},{j};{r - p or r}]" for p in range(1, r + 1))
-        braids: dict[str, BraidWord] = {}
-        if j > 1:
-            prm = mono.MonomialParams(r, j - 1)
-            for t in range(1, j):
-                braids[f"Z[{t}]"] = mono.Z(t, prm)
-                for k in range(1, t):
-                    for p in range(1, r + 1):
-                        braids[f"A[{k},{t};{p}]"] = mono.A(k, t, p, prm)
-        levels.append(TowerLevel(j, tuple(names), braids))
+        gens = (z_hyp(j),) + tuple(
+            a_hyp(i, j, r - p or r) for i in range(1, j) for p in range(1, r + 1)
+        )
+        braids = {h: _monomial_braid(h, r, j - 1) for h in monomial_hyperplanes(r, j - 1)}
+        levels.append(TowerLevel(j, gens, braids))
     return levels
 
 
-def _tower_generators(tower: list[TowerLevel]) -> list[GenInfo]:
-    """Every generator of the tower, level by level, with its position on its level."""
-    return [
-        GenInfo(name, lvl.level, pos)
-        for lvl in tower
-        for pos, name in enumerate(lvl.gen_names, start=1)
-    ]
+def _level_braids(tower: list[TowerLevel]):
+    """Each level with its (lower symbol, braid) pairs, in tower order.
+
+    A missing or a foreign braid key raises, naming the level and the symbol.
+    """
+    lower: list[Hyperplane | BSym] = []
+    for lvl in tower:
+        for sym in lower:
+            if sym not in lvl.braids:
+                raise ArrangementError(f"tower level {lvl.level} lacks a braid for {sym.label()}")
+        if len(lvl.braids) > len(lower):
+            sym = next(sym for sym in lvl.braids if sym not in lower)
+            raise ArrangementError(f"tower level {lvl.level} has a braid for {sym.label()}, "
+                                   "which is not a lower generator")
+        yield lvl, [(sym, lvl.braids[sym]) for sym in lower]
+        lower.extend(lvl.gens)
 
 
 def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
@@ -374,22 +383,14 @@ def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
 
     For each lower generator x and each level-j generator y = t_q, the
     right-hand side is the Artin image of t_q under the stored braid for x,
-    rewritten over level-j symbols.
+    a word over the level-j generators.
     """
-    gens = _tower_generators(tower)
     relations: list[Relation] = []
-    for lvl in tower:
-        lower = [g for g in gens if g.level < lvl.level]
-        for g in lower:
-            braid = lvl.braids.get(g.name)
-            if braid is None:
-                raise ArrangementError(f"tower level {lvl.level} lacks a braid for {g.name}")
+    for lvl, braids in _level_braids(tower):
+        for x, braid in braids:
             eta = artin(braid)
-            for q in range(1, lvl.rank + 1):
-                relations.append(
-                    Relation(g.name, lvl.gen_names[q - 1], lvl.level, eta.images[q - 1])
-                )
-    return Presentation(tuple(gens), tuple(relations))
+            relations.extend(Relation(x, y, img) for y, img in zip(lvl.gens, eta.images))
+    return Presentation(tuple(g for lvl in tower for g in lvl.gens), tuple(relations))
 
 
 def _word_text(w: Word, names) -> str:
@@ -398,15 +399,18 @@ def _word_text(w: Word, names) -> str:
 
 
 def format_presentation(pres: Presentation) -> str:
+    """The generators with their (level, position), then one line per relation."""
+    label = {g: g.label() for g in pres.generators}
+    by_level: dict[int, list[str]] = {}
     lines = ["# generators: name (level, position)"]
     for g in pres.generators:
-        lines.append(f"# {g.name} ({g.level}, {g.position})")
-    by_level = {}
-    for g in pres.generators:
-        by_level.setdefault(g.level, []).append(g.name)
+        names = by_level.setdefault(g.level, [])
+        names.append(label[g])
+        lines.append(f"# {label[g]} ({g.level}, {len(names)})")
     for rel in pres.relations:
-        rhs = _word_text(rel.rhs, by_level[rel.level])
-        lines.append(f"{rel.conj}^-1 {rel.target} {rel.conj} = {rhs}")
+        x, y = label[rel.conj], label[rel.target]
+        rhs = _word_text(rel.rhs, by_level[rel.target.level])
+        lines.append(f"{x}^-1 {y} {x} = {rhs}")
     return "\n".join(lines) + "\n"
 
 
@@ -419,13 +423,9 @@ def ft_bracket_relations(tower: list[TowerLevel]) -> HolonomyPresentation:
     it commutes with x.  The flats go through ``holonomy_relations_from_flats``,
     which attaches them, with the levels, for the certified rank path.
     """
-    gens = _tower_generators(tower)
-    position = {g.name: i for i, g in enumerate(gens)}
-    flats: list[tuple[GenInfo, ...]] = []
-    base = 0  # index in gens of the level's first generator
-    for lvl in tower:
-        for lower_name, braid in sorted(lvl.braids.items(), key=lambda kv: position[kv[0]]):
-            x = gens[position[lower_name]]
+    flats: list[tuple[Hyperplane | BSym, ...]] = []
+    for lvl, braids in _level_braids(tower):
+        for x, braid in braids:
             adj: dict[int, set[int]] = {}
             for (s, t), val in linking_pairs(braid).items():
                 if val != 1:
@@ -443,9 +443,8 @@ def ft_bracket_relations(tower: list[TowerLevel]) -> HolonomyPresentation:
                             "linking pattern of tower braid is not a block clique"
                         )
                 seen |= block
-                flats.append((x,) + tuple(gens[base + t - 1] for t in sorted(block)))
-        base += lvl.rank
-    return holonomy_relations_from_flats(flats, gens)
+                flats.append((x,) + tuple(lvl.gens[t - 1] for t in sorted(block)))
+    return holonomy_relations_from_flats(flats, [g for lvl in tower for g in lvl.gens])
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +576,9 @@ def _table_cell(g: BSym, y: BSym, j: int, l: int) -> TableCell:
     return TableCell(name, l, g, y, None if K is None else tuple(K), emend)
 
 
-def _conjugate_of(syms: Iterable[tuple[BSym, int]], names: tuple[str, ...], q: int) -> Word:
-    """K t_q K^-1 as a reduced word, K spelled over a level's generator names."""
-    K = word(len(names), [sign * (names.index(sym.label()) + 1) for sym, sign in syms])
+def _conjugate_of(syms: Iterable[tuple[BSym, int]], gens: tuple[BSym, ...], q: int) -> Word:
+    """K t_q K^-1 as a reduced word, K spelled over a level's generators ``gens``."""
+    K = word(len(gens), [sign * (gens.index(sym) + 1) for sym, sign in syms])
     return conjugate(Word(K.rank, (q,)), invert(K))
 
 
@@ -588,11 +587,11 @@ def verify_pbn_table(n: int) -> Report:
 
     Each cell g^-1 y g is the left-hand side of one relation of
     ``assemble_presentation(build_typeb_tower(n))``; its right-hand side is
-    read from there, and positions and names from the level's generator
-    names.  Each literal cell is compared as reduced words; the two cells
-    without a well-formed printed conjugator are reported informationally
-    with the computed right-hand side (and, for the c-on-b cell, whether the
-    c_l emendation matches).
+    read from there, and positions from the level's symbols.  Each literal
+    cell is compared as reduced words; the two cells without a well-formed
+    printed conjugator are reported informationally with the computed
+    right-hand side (and, for the c-on-b cell, whether the c_l emendation
+    matches).
     """
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
@@ -600,11 +599,11 @@ def verify_pbn_table(n: int) -> Report:
     tower = build_typeb_tower(n)
     rhs = {(rel.conj, rel.target): rel.rhs for rel in assemble_presentation(tower).relations}
     for cell in pbn_table_cells(n):
-        names = tower[cell.l - 1].gen_names
-        q = names.index(cell.target.label()) + 1
-        computed = rhs[cell.conj.label(), cell.target.label()]
+        gens = tower[cell.l - 1].gens
+        q = gens.index(cell.target) + 1
+        computed = rhs[cell.conj, cell.target]
         if cell.conjugator is not None:
-            report.add(cell.name, computed == _conjugate_of(cell.conjugator, names, q))
+            report.add(cell.name, computed == _conjugate_of(cell.conjugator, gens, q))
             continue
         # no literal reading: peel the computed conjugator and report it
         try:
@@ -613,9 +612,9 @@ def verify_pbn_table(n: int) -> Report:
             core = None
         if core != q:
             raise ArrangementError(f"image is not a conjugate of t{q}: {computed}")
-        detail = f"computed: w tw^-1 with w = {_word_text(w, names)}"
+        detail = f"computed: w tw^-1 with w = {_word_text(w, [g.label() for g in gens])}"
         if cell.emendation is not None:
-            matches = _conjugate_of(cell.emendation, names, q) == computed
+            matches = _conjugate_of(cell.emendation, gens, q) == computed
             detail += "; c_l reading %s" % ("matches" if matches else "differs")
         report.add(f"{cell.name} [no literal reading]", True, detail)
     return report
@@ -624,21 +623,18 @@ def verify_pbn_table(n: int) -> Report:
 def verify_pbn_correspondence(n: int) -> Report:
     """Check the type-B action table as braid identities in P(2,n).
 
-    Under a_{i,j} = A^{(2)}_{i,j}, b_{i,j} = A^{(1)}_{i,j}, c_j = Z_j, each
-    literal table cell g^-1 y g = K y K^-1 is tested by braid_equal.  The
-    two cells without a well-formed literal reading (the q_k conjugator at
-    k=i and the y_k conjugator at k=j) are reported informationally, not as
-    failures.
+    Each symbol stands for the monomial braid of its ``typeb_hyperplane``,
+    and each literal table cell g^-1 y g = K y K^-1 is tested by
+    braid_equal.  The two cells without a well-formed literal reading (the
+    q_k conjugator at k=i and the y_k conjugator at k=j) are reported
+    informationally, not as failures.
     """
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     prm = mono.MonomialParams(2, n)
 
     def as_braid(sym: BSym) -> BraidWord:
-        kind, i, j = sym
-        if kind == "c":
-            return mono.Z(j, prm)
-        return mono.A(i, j, 2 if kind == "a" else 1, prm)
+        return _monomial_braid(typeb_hyperplane(sym), 2, n)
 
     report = Report(f"type-B table correspondence, n={n}")
     for cell in pbn_table_cells(n):

@@ -328,6 +328,8 @@ def parse_wiring(text: str) -> WiringDiagram:
                     raise WiringError(f"line {lineno}: bad block entry") from exc
             current = ConsecutivePartition(n, tuple(blocks))
         else:
+            if current is None and events:
+                raise WiringError(f"line {lineno}: partition has a second 'B:' line")
             if current is None:
                 raise WiringError(f"line {lineno}: braid line before any partition")
             try:

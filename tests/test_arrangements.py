@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,12 +17,14 @@ from braidforge.arrangements import (
     c_sym,
     exponents,
     format_presentation,
+    ft_bracket_relations,
     monomial_flats,
     monomial_hyperplanes,
     pbn_table_cells,
     typeb_lines,
     typeb_meridian_symbols,
     typeb_monodromy_closed,
+    typeb_hyperplane,
     typeb_wiring_cross_check,
     verify_pbn_correspondence,
     verify_pbn_table,
@@ -251,17 +254,62 @@ def test_r2_flats_match_typeb_shape():
 # towers and presentations
 
 
-def test_trivial_tower_direct_product():
-    tower = [
-        TowerLevel(1, ("x",), {}),
-        TowerLevel(2, ("y1", "y2"), {"x": empty_braid(2)}),
+def _trivial_tower(braids):
+    """Levels Z[1] and (Z[2], A[1,2;1]); level 2 carries ``braids``."""
+    return [
+        TowerLevel(1, (z_hyp(1),), {}),
+        TowerLevel(2, (z_hyp(2), a_hyp(1, 2, 1)), braids),
     ]
-    pres = assemble_presentation(tower)
+
+
+def test_trivial_tower_direct_product():
+    pres = assemble_presentation(_trivial_tower({z_hyp(1): empty_braid(2)}))
     assert len(pres.relations) == 2
     for rel in pres.relations:
         assert rel.rhs.letters in ((1,), (2,))
     text = format_presentation(pres)
-    assert "x^-1 y1 x = y1" in text
+    assert "Z[1]^-1 Z[2] Z[1] = Z[2]" in text
+
+
+@pytest.mark.parametrize("read", [assemble_presentation, ft_bracket_relations])
+@pytest.mark.parametrize(
+    "braids,message",
+    [
+        pytest.param({}, "tower level 2 lacks a braid for Z[1]", id="missing"),
+        pytest.param(
+            {z_hyp(1): empty_braid(2), z_hyp(9): empty_braid(2)},
+            "tower level 2 has a braid for Z[9], which is not a lower generator",
+            id="foreign",
+        ),
+        pytest.param(
+            {z_hyp(1): empty_braid(2), a_hyp(1, 2, 1): empty_braid(2)},
+            "tower level 2 has a braid for A[1,2;1], which is not a lower generator",
+            id="same-level",
+        ),
+    ],
+)
+def test_tower_readers_check_the_braid_keys(read, braids, message):
+    # both readers of a tower see the same keys: one for each lower generator
+    with pytest.raises(ArrangementError, match=f"^{re.escape(message)}$"):
+        read(_trivial_tower(braids))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_tower_levels_hold_their_hyperplanes(r, n):
+    for lvl in build_monomial_tower(r, n):
+        j = lvl.level
+        assert set(lvl.gens) == {h for h in monomial_hyperplanes(r, j) if h.level == j}
+        assert len(lvl.gens) == len(set(lvl.gens))
+        assert list(lvl.braids) == monomial_hyperplanes(r, j - 1)
+
+
+def test_typeb_hyperplane_is_the_r2_dictionary():
+    assert typeb_hyperplane(c_sym(3)) == z_hyp(3)
+    assert typeb_hyperplane(a_sym(1, 3)) == a_hyp(1, 3, 2)
+    assert typeb_hyperplane(b_sym(1, 3)) == a_hyp(1, 3, 1)
+    syms = [g for lvl in build_typeb_tower(4) for g in lvl.gens]
+    assert sorted(map(typeb_hyperplane, syms)) == sorted(monomial_hyperplanes(2, 4))
 
 
 def test_typeb_tower_relation_count_and_abelianization():
@@ -271,9 +319,9 @@ def test_typeb_tower_relation_count_and_abelianization():
     assert len(pres.relations) == 1 * 3 + 1 * 5 + 3 * 5
     by_level = {}
     for g in pres.generators:
-        by_level.setdefault(g.level, []).append(g.name)
+        by_level.setdefault(g.level, []).append(g)
     for rel in pres.relations:
-        target_pos = by_level[rel.level].index(rel.target) + 1
+        target_pos = by_level[rel.target.level].index(rel.target) + 1
         ab = abelianize(rel.rhs)
         assert ab[target_pos - 1] == 1
         assert all(v == 0 for k, v in enumerate(ab) if k != target_pos - 1)
@@ -285,7 +333,7 @@ def test_typeb_tower_reproduces_b2_table():
     # conjugation of t_3 by c_1 at level 3 has RHS (t2 t3 t4) t3 (t2 t3 t4)^-1
     t = lambda *xs: word(5, xs)
     rel = next(
-        r for r in pres.relations if r.conj == "c[1]" and r.target == "c[3]"
+        r for r in pres.relations if r.conj == c_sym(1) and r.target == c_sym(3)
     )
     wconj = t(2, 3, 4)
     assert rel.rhs == multiply(multiply(wconj, t(3)), invert(wconj))
@@ -344,9 +392,9 @@ def test_pbn_table_reads_the_printed_relations(monkeypatch):
         relations = tuple(
             dataclasses.replace(
                 rel,
-                rhs=word(rel.rhs.rank, [tower[rel.level - 1].gen_names.index(rel.target) + 1]),
+                rhs=word(rel.rhs.rank, [tower[rel.target.level - 1].gens.index(rel.target) + 1]),
             )
-            if f"{rel.conj}^-1 {rel.target} {rel.conj}" == cell
+            if (rel.conj, rel.target) == (a_sym(1, 2), a_sym(1, 3))
             else rel
             for rel in pres.relations
         )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -341,3 +342,48 @@ def test_monomial_suite_golden_file(argv, golden):
     code, out = run_cli(*argv.split())
     assert code == 0
     assert out == _golden(golden)
+
+
+# sha256 prefix of the stdout of `present`, recorded before the tower levels
+# held symbols in place of generator names
+PRESENT_DIGESTS = {
+    ("monomial", 1, 1): "4265e7163fdebf89",
+    ("monomial", 1, 2): "f773505789e49cbb",
+    ("monomial", 1, 3): "568408c42a5ca379",
+    ("monomial", 1, 4): "cab6766f79b1aa72",
+    ("monomial", 2, 1): "4265e7163fdebf89",
+    ("monomial", 2, 2): "e568996cac2399fe",
+    ("monomial", 2, 3): "18ab11c6b400a500",
+    ("monomial", 2, 4): "924fc957139d9215",
+    ("monomial", 3, 1): "4265e7163fdebf89",
+    ("monomial", 3, 2): "5a539b573eeae688",
+    ("monomial", 3, 3): "dac37378589e2d0c",
+    ("monomial", 3, 4): "723a1c52213b93a9",
+    ("monomial", 4, 1): "4265e7163fdebf89",
+    ("monomial", 4, 2): "f6216394611515ff",
+    ("monomial", 4, 3): "0fb637a0049f453e",
+    ("monomial", 4, 4): "df3a6d5160616a74",
+    ("typeb", None, 1): "49b8c15a5b368af9",
+    ("typeb", None, 2): "67dcab20c227c41d",
+    ("typeb", None, 3): "ea1434c99d205503",
+    ("typeb", None, 4): "723e9bf74bd2e668",
+    ("typeb", None, 5): "63d053a3e9087f6d",
+}
+
+
+@pytest.mark.parametrize("what,r,n", sorted(PRESENT_DIGESTS, key=str))
+def test_present_output_digests(what, r, n):
+    argv = ["present", what, "--n", str(n)]
+    if r is not None:
+        argv += ["--r", str(r)]
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PRESENT_DIGESTS[what, r, n]
+
+
+def test_monodromy_reports_a_second_braid_line(tmp_path):
+    bad = tmp_path / "two.wd"
+    bad.write_text("n 3\nI: 1 2 | 3\nB: 1\nB: 2\n")
+    code, out = run_cli("monodromy", str(bad))
+    assert code == 2
+    assert out == "error: line 4: partition has a second 'B:' line\n"

@@ -741,20 +741,20 @@ def test_ft_relations_span_matches_raw_lemma_transform():
     tower = build_typeb_tower(3)
     hp = ft_bracket_relations(tower)
     pres = assemble_presentation(tower)
-    name_index = {g.name: i + 1 for i, g in enumerate(pres.generators)}
+    index = {g: i + 1 for i, g in enumerate(pres.generators)}
     offsets = {}
     for g in pres.generators:
-        offsets.setdefault(g.level, name_index[g.name] - 1)
+        offsets.setdefault(g.level, index[g] - 1)
     raw = []
     for rel in pres.relations:
-        x = name_index[rel.conj]
-        y = name_index[rel.target]
+        x = index[rel.conj]
+        y = index[rel.target]
         img = rel.rhs
         half = (len(img.letters) - 1) // 2
         w_ab = abelianize(
             type(img)(img.rank, img.letters[:half])
         )
-        raw.append(lemma_brackets_transform(x, y, w_ab, offsets[rel.level]))
+        raw.append(lemma_brackets_transform(x, y, w_ab, offsets[rel.target.level]))
     # same-rank spans
     r1, piv1 = _rank_of_rows(dict(x.terms) for x in hp.relations)
     r2, piv2 = _rank_of_rows(dict(x.terms) for x in raw)
@@ -783,42 +783,31 @@ def test_monomial_32_degree1_is_hyperplane_count():
     assert ranks[0] == 5 == len(monomial_hyperplanes(3, 2))
 
 
+def _flat_sets(tower):
+    """The flats of a tower's holonomy presentation, as sets of its symbols."""
+    gens = [g for lvl in tower for g in lvl.gens]
+    return {frozenset(gens[i] for i in flat) for flat in ft_bracket_relations(tower).flats}
+
+
 def test_r2_flats_correspond_to_typeb_tower_flats():
-    # under a = A^{(2)}, b = A^{(1)}, c = Z the monomial tower's flats equal
-    # the type-B tower's flats as families of generator-name sets
-    from braidforge.arrangements import build_monomial_tower
+    # under typeb_hyperplane (a = A^{(2)}, b = A^{(1)}, c = Z) the monomial
+    # tower's flats equal the type-B tower's flats as families of symbol sets
+    from braidforge.arrangements import build_monomial_tower, typeb_hyperplane
 
-    def name_sets(hp):
-        return {frozenset(hp.labels[i] for i in flat) for flat in hp.flats}
-
-    tb = ft_bracket_relations(build_typeb_tower(3))
-    mo = ft_bracket_relations(build_monomial_tower(2, 3))
-    rename = {}
-    for name in mo.labels:
-        if name.startswith("Z["):
-            rename[name] = "c[" + name[2:]
-        elif name.endswith(";2]"):
-            rename[name] = "a[" + name[2:-3] + "]"
-        else:
-            rename[name] = "b[" + name[2:-3] + "]"
-    renamed = {frozenset(rename[x] for x in flat) for flat in name_sets(mo)}
-    assert renamed == name_sets(tb)
+    tb = _flat_sets(build_typeb_tower(3))
+    mo = _flat_sets(build_monomial_tower(2, 3))
+    assert {frozenset(map(typeb_hyperplane, flat)) for flat in tb} == mo
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_monomial_tower_flats_equal_monomial_flats(r, n):
-    # the linking blocks of the tower's braids give the arrangement's flats
-    # under H[j] = Z[j] and H[i,j;p] = A[i,j;p]: each fiber generator is
-    # named after the braid of its loop
+    # the linking blocks of the tower's braids give the arrangement's flats:
+    # each fiber generator is the hyperplane whose braid is its loop
     from braidforge.arrangements import build_monomial_tower
 
-    def name(h):
-        return ("A" if h.i else "Z") + h.label()[1:]
-
-    hp = ft_bracket_relations(build_monomial_tower(r, n))
-    tower = {frozenset(hp.labels[i] for i in flat) for flat in hp.flats}
-    assert tower == {frozenset(name(h) for h in flat) for flat in monomial_flats(r, n)}
+    tower = _flat_sets(build_monomial_tower(r, n))
+    assert tower == {frozenset(flat) for flat in monomial_flats(r, n)}
 
 
 def test_monomial_tower_is_certified():
