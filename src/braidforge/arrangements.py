@@ -393,9 +393,16 @@ def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
     return Presentation(tuple(g for lvl in tower for g in lvl.gens), tuple(relations))
 
 
-def _word_text(w: Word, names) -> str:
-    """The word spelled in the generator names ``names``; the empty word is ``1``."""
-    return " ".join(names[abs(x) - 1] + ("" if x > 0 else "^-1") for x in w.letters) or "1"
+def _tokens(names) -> dict[int, str]:
+    """Each letter's spelling in the generator names ``names``: ``t -> name``, ``-t -> name^-1``."""
+    tokens = {i: name for i, name in enumerate(names, start=1)}
+    tokens.update({-i: f"{name}^-1" for i, name in tokens.items()})
+    return tokens
+
+
+def _word_text(w: Word, tokens: dict[int, str]) -> str:
+    """The word spelled through a ``_tokens`` table; the empty word is ``1``."""
+    return " ".join(map(tokens.__getitem__, w.letters)) or "1"
 
 
 def format_presentation(pres: Presentation) -> str:
@@ -407,10 +414,10 @@ def format_presentation(pres: Presentation) -> str:
         names = by_level.setdefault(g.level, [])
         names.append(label[g])
         lines.append(f"# {label[g]} ({g.level}, {len(names)})")
+    tokens = {lv: _tokens(names) for lv, names in by_level.items()}
     for rel in pres.relations:
         x, y = label[rel.conj], label[rel.target]
-        rhs = _word_text(rel.rhs, by_level[rel.target.level])
-        lines.append(f"{x}^-1 {y} {x} = {rhs}")
+        lines.append(f"{x}^-1 {y} {x} = {_word_text(rel.rhs, tokens[rel.target.level])}")
     return "\n".join(lines) + "\n"
 
 
@@ -612,7 +619,7 @@ def verify_pbn_table(n: int) -> Report:
             core = None
         if core != q:
             raise ArrangementError(f"image is not a conjugate of t{q}: {computed}")
-        detail = f"computed: w tw^-1 with w = {_word_text(w, [g.label() for g in gens])}"
+        detail = f"computed: w tw^-1 with w = {_word_text(w, _tokens(g.label() for g in gens))}"
         if cell.emendation is not None:
             matches = _conjugate_of(cell.emendation, gens, q) == computed
             detail += "; c_l reading %s" % ("matches" if matches else "differs")

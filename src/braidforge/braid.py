@@ -17,7 +17,11 @@ inspect free-group images, and as an independent oracle in the tests.
 :func:`artin` reads a word right to left: prefixing one letter to a word
 whose action is already known rewrites only the images of the two
 generators that letter moves, so each letter costs two images rather than
-n, and reduction happens only at the joins of reduced words.
+n, and reduction happens only at the joins of reduced words.  While it
+works, :func:`artin` holds each image as ``bytes``, one signed byte per
+letter, so inverting an image and finding how far two images cancel are
+slice operations; this bounds it at 127 strands (the CLI's guard needs at
+most 37).  Outside :func:`artin` every image is a :class:`Word`.
 """
 from __future__ import annotations
 
@@ -66,9 +70,10 @@ class BraidWord:
     def __init__(self, strands: int, letters: tuple[int, ...], parts=()) -> None:
         if strands < 1:
             raise BraidError(f"strand count must be positive, got {strands}")
-        for x in letters:
-            if x == 0 or abs(x) > strands - 1:
-                raise BraidError(f"letter {x} out of range for {strands} strands")
+        top = strands - 1
+        if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
+            bad = next(x for x in letters if x == 0 or abs(x) > top)
+            raise BraidError(f"letter {bad} out of range for {strands} strands")
         self.strands = strands
         self.parts: tuple[tuple[BraidWord, int], ...] = parts
         self.length = sum(p.length for p, _ in parts) if parts else len(letters)
@@ -147,17 +152,37 @@ def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
     return BraidWord(strands, (), tuple((b, 1) for b in factors))
 
 
-def _conjugate(x: list[int], y: list[int], x_inv: list[int], neg: dict[int, int]) -> list[int]:
-    """The reduced word x y x^-1 from reduced x, y and x^-1; cancels only at the joins."""
-    out = x[:]
-    for w in (y, x_inv):
-        k, m = 0, min(len(out), len(w))
-        while k < m and out[-1 - k] == neg[w[k]]:
-            k += 1
-        if k:
-            del out[-k:]
-        out += w[k:]
-    return out
+# One signed byte per letter: ``x`` is stored as ``x % 256``, so a word's
+# inverse is ``w[::-1].translate(_NEG)``, and ``_LETTER`` decodes a byte to
+# one shared int object per letter value.
+_NEG = bytes(-c % 256 for c in range(256))
+_LETTER = tuple(c - 256 if c > 127 else c for c in range(256))
+
+
+def _join(x: bytes, y: bytes) -> bytes:
+    """The reduced word x y from nonempty reduced byte words x and y.
+
+    x's last k letters cancel y's first k exactly when x ends with the
+    inverse of y[:k], and that holds for every k up to the true overlap and
+    for none beyond it.  So test the first letter, then the whole overlap,
+    and binary-search between them.
+    """
+    if x[-1] != _NEG[y[0]]:
+        return x + y
+    end = len(x)
+    m = min(end, len(y))
+    inv = y[:m][::-1].translate(_NEG)  # the inverse of y[:k] is inv[m - k:]
+    lo, hi = 1, m  # lo letters cancel, and hi do not once the whole overlap fails
+    if x.endswith(inv):
+        lo = m
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if x.endswith(inv[m - mid:]):
+                lo = mid
+            else:
+                hi = mid
+    return x[:end - lo] + y[lo:]
 
 
 def artin(b: BraidWord) -> Endomorphism:
@@ -170,23 +195,24 @@ def artin(b: BraidWord) -> Endomorphism:
     and sigma_i^-1 sets psi(t_i) <- psi(t_{i+1}) and
     psi(t_{i+1}) <- psi(t_{i+1})^-1 psi(t_i) psi(t_{i+1}).  So each letter
     rewrites two images, and the reduced images cancel only where they join.
-    Images are never mutated once built, so the moved one is shared, not
-    copied.  Letters are negated through one table, so every image holds a
-    single int object per letter value.
+    While they are built, the images are ``bytes`` with one signed byte per
+    letter, so inversion and cancellation run as slice operations; that
+    bounds the strand count at 127.  Each image is decoded to a ``Word``
+    once, at the end.
     """
     n = b.strands
-    neg = {z: -z for z in range(-n, n + 1)}
-    images: list[list[int]] = [[i] for i in range(1, n + 1)]
+    if n > 127:
+        raise BraidError(f"artin takes at most 127 strands (one signed byte per letter), got {n}")
+    images = [bytes((i,)) for i in range(1, n + 1)]
     for gen in reversed(b.letters):
         i = abs(gen) - 1
         u, v = images[i], images[i + 1]
         if gen > 0:
-            built = _conjugate(u, v, [neg[x] for x in reversed(u)], neg)
-            images[i], images[i + 1] = built, u
+            images[i], images[i + 1] = _join(_join(u, v), u[::-1].translate(_NEG)), u
         else:
-            built = _conjugate([neg[x] for x in reversed(v)], u, v, neg)
-            images[i], images[i + 1] = v, built
-    return Endomorphism(n, tuple(Word(n, tuple(img)) for img in images))
+            images[i], images[i + 1] = v, _join(_join(v[::-1].translate(_NEG), u), v)
+    letter = _LETTER.__getitem__
+    return Endomorphism(n, tuple(Word(n, tuple(map(letter, img))) for img in images))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

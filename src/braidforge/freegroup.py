@@ -36,10 +36,10 @@ class WordError(ValueError):
     """Malformed word data: bad letter, rank mismatch, or a word of the wrong shape."""
 
 
-def _check_letters(letters: Iterable[int], rank: int) -> None:
-    for x in letters:
-        if x == 0 or abs(x) > rank:
-            raise WordError(f"letter {x} out of range for rank {rank}")
+def _check_letters(letters: Sequence[int], rank: int) -> None:
+    if letters and (min(letters) < -rank or max(letters) > rank or 0 in letters):
+        bad = next(x for x in letters if x == 0 or abs(x) > rank)
+        raise WordError(f"letter {bad} out of range for rank {rank}")
 
 
 def _reduce_list(letters: Iterable[int]) -> list[int]:

@@ -495,6 +495,7 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     levels = pres.levels
     flats = pres.flats
     assert levels is not None and flats is not None
+    labels = pres.labels
 
     # A flat {x} + B, with x below the level lv of B, puts B in one block of
     # x on lv; only blocks of two or more members are kept.
@@ -507,7 +508,8 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
         lower = [g for g in flat if levels[g] < top]
         if len(lower) != 1:
             raise LieError(
-                f"flat {flat} does not have exactly one member below its top level"
+                f"flat {tuple(labels[g] for g in flat)} does not have exactly one "
+                "member below its top level"
             )
         if len(flat) > 2:
             block = tuple(g for g in flat if levels[g] == top)
@@ -516,7 +518,9 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
     for a in range(pres.d):
         for b in range(a + 1, pres.d):
             if levels[a] != levels[b] and (a, b) not in covered:
-                raise LieError(f"mixed pair ({a},{b}) is not covered by any flat")
+                raise LieError(
+                    f"mixed pair {labels[a]!r}, {labels[b]!r} is not covered by any flat"
+                )
 
     # flat relations lie in the presented span (degree-2 elimination); an
     # install raises at once, so the pivot table needs no copy
@@ -525,7 +529,8 @@ def _certify_tower(pres: HolonomyPresentation) -> None:
         for rel in flat_relations([g + 1 for g in flat]):
             if _echelon_insert(pivots, dict(rel.terms)):
                 raise LieError(
-                    f"flat relation for {flat} is not implied by the presentation"
+                    f"flat relation for {tuple(labels[g] for g in flat)} is not implied "
+                    "by the presentation"
                 )
     # the flat relations are a basis of the kernel, so a larger presented
     # rank means some presented relation survives in the semidirect sum

@@ -26,6 +26,7 @@ from braidforge.braid import (
 from braidforge.cli import run
 from braidforge.freegroup import (
     Endomorphism,
+    WordError,
     apply,
     compose,
     conjugate,
@@ -73,10 +74,81 @@ def letter_image(n, x):
 def test_artin_matches_fold_of_letter_images(n, data):
     gens = [s for s in range(-(n - 1), n) if s != 0]
     letters = data.draw(st.lists(st.sampled_from(gens), max_size=30))
+    assert artin(braid(n, letters)) == fold_of_letter_images(n, letters)
+
+
+def fold_of_letter_images(n, letters):
     expected = identity(n)
     for x in letters:
         expected = compose(expected, letter_image(n, x))
-    assert artin(braid(n, letters)) == expected
+    return expected
+
+
+@st.composite
+def kernel_braids(draw):
+    """A braid on 2..40 strands whose Artin image cancels long, partly or totally.
+
+    u v u^-1 and w w^-1 v make the images grow and then cancel back down
+    through the joins; a plain word cancels at random.  The length is capped
+    at 5n + 10 (200 letters from n = 38), since a random word on few
+    strands has images exponentially long in its length.
+    """
+    n = draw(st.integers(2, 40))
+    cap = min(200, 5 * n + 10)
+    gens = st.sampled_from([s for s in range(-(n - 1), n) if s != 0])
+
+    def letters(most):  # the length is drawn first, so long words are common
+        size = draw(st.integers(0, most))
+        return draw(st.lists(gens, min_size=size, max_size=size))
+
+    shape = draw(st.sampled_from(["u v u^-1", "w w^-1 v", "plain"]))
+    if shape == "plain":
+        return n, letters(cap)
+    outer = letters(cap // 3)
+    inner = letters(cap - 2 * len(outer))
+    back = [-x for x in reversed(outer)]
+    if shape == "u v u^-1":
+        return n, outer + inner + back
+    return n, outer + back + inner
+
+
+@given(kernel_braids())
+@settings(max_examples=300, deadline=None)
+def test_artin_byte_kernel_matches_the_oracles(case):
+    n, letters = case
+    e = artin(braid(n, letters))
+    for img in e.images:
+        assert word(n, img.letters) == img  # reduced
+    size = sum(len(img) for img in e.images)
+    if len(letters) * (size + n) <= 100_000:
+        assert e == fold_of_letter_images(n, letters)
+    else:  # the fold is too slow; the halves come from shorter words
+        half = len(letters) // 2
+        assert e == compose(artin(braid(n, letters[:half])), artin(braid(n, letters[half:])))
+
+
+def test_artin_takes_127_strands_and_no_more():
+    # sigma_126^-1 and sigma_1 write t_127^-1 and t_1^-1, the bytes 129 and
+    # 255 at either end of the signed-byte range
+    letters = [-126, 1, 64, -64, 125, 126]
+    assert artin(braid(127, letters)) == fold_of_letter_images(127, letters)
+    assert artin(braid(127, [-126])).images[126].letters == (-127, 126, 127)
+    with pytest.raises(BraidError, match="at most 127 strands"):
+        artin(braid(128, [1]))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_out_of_range_letters_are_rejected_by_name(n):
+    for bad in (0, n, -n):
+        with pytest.raises(BraidError, match=f"letter {bad} out of range for {n} strands"):
+            braid(n, [1, bad, -1])
+        with pytest.raises(WordError, match=f"letter {bad} out of range for rank {n - 1}"):
+            word(n - 1, [1, bad, -1])
+    # the first bad letter is the one named
+    with pytest.raises(BraidError, match=f"letter {-n} out of range"):
+        braid(n, [1, -n, 0, n])
+    with pytest.raises(WordError, match="letter 0 out of range"):
+        word(n, [0, n + 1])
 
 
 def test_present_monomial_at_the_guard():

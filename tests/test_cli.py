@@ -345,7 +345,8 @@ def test_monomial_suite_golden_file(argv, golden):
 
 
 # sha256 prefix of the stdout of `present`, recorded before the tower levels
-# held symbols in place of generator names
+# held symbols in place of generator names; monomial (5,5) and (6,6) and
+# type B n = 6 recorded before the Artin images were built as bytes
 PRESENT_DIGESTS = {
     ("monomial", 1, 1): "4265e7163fdebf89",
     ("monomial", 1, 2): "f773505789e49cbb",
@@ -363,11 +364,14 @@ PRESENT_DIGESTS = {
     ("monomial", 4, 2): "f6216394611515ff",
     ("monomial", 4, 3): "0fb637a0049f453e",
     ("monomial", 4, 4): "df3a6d5160616a74",
+    ("monomial", 5, 5): "867689c260b329af",
+    ("monomial", 6, 6): "810f2b617c4a534d",
     ("typeb", None, 1): "49b8c15a5b368af9",
     ("typeb", None, 2): "67dcab20c227c41d",
     ("typeb", None, 3): "ea1434c99d205503",
     ("typeb", None, 4): "723e9bf74bd2e668",
     ("typeb", None, 5): "63d053a3e9087f6d",
+    ("typeb", None, 6): "b82721336624ef1c",
 }
 
 

@@ -200,3 +200,11 @@ def test_tower_certificate_does_no_lie_arithmetic():
         readers = _readers(("liealg", name))
         inside = {path for path in readers if path.split(".")[:2] == ["liealg", "_certify_tower"]}
         assert not inside, f"{name} is read by {sorted(inside)}"
+
+
+def test_only_artin_reads_the_byte_tables():
+    # Artin images are byte strings only while artin builds them; every
+    # other reader sees Words.  "braid" is the tables' own definition.
+    for name in ("_NEG", "_LETTER", "_join"):
+        readers = _readers(("braid", name)) - {"braid"}
+        assert readers and readers <= {"braid.artin", "braid._join"}, (name, readers)

@@ -312,6 +312,27 @@ def test_tower_certificate_rejects_corruption():
         graded_ranks(bad, 3, method="tower")
 
 
+def test_tower_certificate_names_flat_members_below_the_top():
+    # the flat {a, b, c} has two members below its top level 3
+    flats = ((0, 1, 2),)
+    rels = flat_relations([1, 2, 3])
+    bad = HolonomyPresentation(3, ("a", "b", "c"), tuple(rels), (1, 2, 3), flats)
+    with pytest.raises(LieError, match=r"flat \('a', 'b', 'c'\) does not have exactly one"):
+        graded_ranks(bad, 2, method="tower")
+
+
+def test_tower_certificate_names_an_uncovered_mixed_pair():
+    bad = HolonomyPresentation(3, ("a", "b", "c"), (), (1, 2, 2), ((0, 1),))
+    with pytest.raises(LieError, match="mixed pair 'a', 'c' is not covered by any flat"):
+        graded_ranks(bad, 2, method="tower")
+
+
+def test_tower_certificate_names_a_flat_whose_relation_is_not_implied():
+    bad = HolonomyPresentation(2, ("a", "b"), (), (1, 2), ((0, 1),))
+    with pytest.raises(LieError, match=r"flat relation for \('a', 'b'\) is not implied"):
+        graded_ranks(bad, 2, method="tower")
+
+
 def test_tower_certificate_does_not_depend_on_the_relation_basis():
     # the presentation above with [a, b] replaced by [a, b] + [a+c+d, d],
     # another flat relation: the span is the same, but no presented relation
