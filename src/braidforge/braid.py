@@ -19,9 +19,16 @@ whose action is already known rewrites only the images of the two
 generators that letter moves, so each letter costs two images rather than
 n, and reduction happens only at the joins of reduced words.  While it
 works, :func:`artin` holds each image as ``bytes``, one signed byte per
-letter, so inverting an image and finding how far two images cancel are
-slice operations; this bounds it at 127 strands (the CLI's guard needs at
-most 37).  Outside :func:`artin` every image is a :class:`Word`.
+letter, so inverting an image is a slice and finding how far two images
+cancel is one integer XOR; this bounds it at 127 strands (the CLI's guard
+needs at most 37).  Outside :func:`artin` every image is a :class:`Word`.
+
+Raw letters are checked in one place, :func:`braid`, which rejects a strand
+count below 1 and a letter outside +-1..+-(n-1); the wiring parser reads
+each braid line through it.  Everything built from a braid (products, the
+named braids, which check their own indices, Artin images, permutations) is
+trusted and not checked again, except that :func:`product` and
+:func:`braid_equal` check that strand counts agree.
 """
 from __future__ import annotations
 
@@ -63,17 +70,13 @@ class BraidWord:
     """A braid in B_n: a word given by its letters, or a product of (braid, +-1) parts.
 
     No reduction is performed, and ``==`` is identity: braid equality is
-    :func:`braid_equal`.  Both lazy properties walk the parts with an
+    :func:`braid_equal`.  The constructor checks nothing: raw letters come in
+    through :func:`braid`, and the package's own builders pass it letters
+    they have already bounded.  Both lazy properties walk the parts with an
     explicit stack, so a deep chain such as ``b = b * s`` needs no recursion.
     """
 
     def __init__(self, strands: int, letters: tuple[int, ...], parts=()) -> None:
-        if strands < 1:
-            raise BraidError(f"strand count must be positive, got {strands}")
-        top = strands - 1
-        if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
-            bad = next(x for x in letters if x == 0 or abs(x) > top)
-            raise BraidError(f"letter {bad} out of range for {strands} strands")
         self.strands = strands
         self.parts: tuple[tuple[BraidWord, int], ...] = parts
         self.length = sum(p.length for p, _ in parts) if parts else len(letters)
@@ -121,7 +124,15 @@ class BraidWord:
 
 
 def braid(n: int, letters: Iterable[int]) -> BraidWord:
-    return BraidWord(n, tuple(letters))
+    """Check raw signed Artin generator indices and make them a braid word on n strands."""
+    if n < 1:
+        raise BraidError(f"strand count must be positive, got {n}")
+    letters = tuple(letters)
+    top = n - 1
+    if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
+        bad = next(x for x in letters if x == 0 or abs(x) > top)
+        raise BraidError(f"letter {bad} out of range for {n} strands")
+    return BraidWord(n, letters)
 
 
 @cache
@@ -163,26 +174,17 @@ def _join(x: bytes, y: bytes) -> bytes:
     """The reduced word x y from nonempty reduced byte words x and y.
 
     x's last k letters cancel y's first k exactly when x ends with the
-    inverse of y[:k], and that holds for every k up to the true overlap and
-    for none beyond it.  So test the first letter, then the whole overlap,
-    and binary-search between them.
+    inverse of y[:k].  XOR the last m bytes of x with the inverse of y[:m]
+    as big-endian integers: a cancelling letter is a zero byte at the low
+    end, so k is the number of trailing zero bytes, and all m when the XOR
+    is 0.
     """
     if x[-1] != _NEG[y[0]]:
         return x + y
-    end = len(x)
-    m = min(end, len(y))
-    inv = y[:m][::-1].translate(_NEG)  # the inverse of y[:k] is inv[m - k:]
-    lo, hi = 1, m  # lo letters cancel, and hi do not once the whole overlap fails
-    if x.endswith(inv):
-        lo = m
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x.endswith(inv[m - mid:]):
-                lo = mid
-            else:
-                hi = mid
-    return x[:end - lo] + y[lo:]
+    m = min(len(x), len(y))
+    d = int.from_bytes(x[-m:], "big") ^ int.from_bytes(y[:m][::-1].translate(_NEG), "big")
+    k = ((d & -d).bit_length() - 1) >> 3 if d else m
+    return x[:len(x) - k] + y[k:]
 
 
 def artin(b: BraidWord) -> Endomorphism:
@@ -196,7 +198,7 @@ def artin(b: BraidWord) -> Endomorphism:
     psi(t_{i+1}) <- psi(t_{i+1})^-1 psi(t_i) psi(t_{i+1}).  So each letter
     rewrites two images, and the reduced images cancel only where they join.
     While they are built, the images are ``bytes`` with one signed byte per
-    letter, so inversion and cancellation run as slice operations; that
+    letter, so inversion and cancellation run in C (see :func:`_join`); that
     bounds the strand count at 127.  Each image is decoded to a ``Word``
     once, at the end.
     """
@@ -224,14 +226,13 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
 
 @dataclass(frozen=True)
 class StrandPermutation:
-    """The start-position to end-position map induced by a braid word."""
+    """The start-position to end-position map induced by a braid word.
+
+    Built only by :func:`permutation` and :meth:`inverse`, so it checks nothing.
+    """
 
     n: int
     images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, self.n + 1)):
-            raise BraidError(f"not a permutation of [{self.n}]: {self.images}")
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]

@@ -5,6 +5,12 @@ signed generator indices: the letter ``i`` stands for t_i and ``-i`` for
 t_i^-1.  Every constructor reduces, so equality of group elements is plain
 sequence equality.
 
+Raw letters are checked in one place, :func:`word`, which rejects a rank
+below 1 and a letter outside +-1..+-rank.  A :class:`Word` built from words
+already checked (by the group operations, :func:`apply`, or the Artin images
+of a checked braid) is trusted and not checked again; the operations that
+combine two values still check that their ranks agree.
+
 Endomorphisms compose under the right-action convention: ``compose(a, b)``
 is the map "apply a, then b".  Conjugation is ``u^v = v^-1 u v`` and the
 commutator is ``[u, v] = u v u^-1 v^-1``.
@@ -59,16 +65,11 @@ class Word:
     """A reduced word in the free group of the given rank.
 
     Instances are immutable; build them through :func:`word` or the group
-    operations, which always reduce.
+    operations, which always reduce.  The constructor checks nothing.
     """
 
     rank: int
     letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise WordError(f"rank must be positive, got {self.rank}")
-        _check_letters(self.letters, self.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -78,18 +79,16 @@ class Word:
 
 
 def word(rank: int, letters: Sequence[int]) -> Word:
-    """Freely reduce a raw signed-index sequence into a Word."""
+    """Check a raw signed-index sequence and freely reduce it into a Word."""
+    if rank < 1:
+        raise WordError(f"rank must be positive, got {rank}")
     _check_letters(letters, rank)
     return Word(rank, tuple(_reduce_list(letters)))
 
 
-def _same_rank(u: Word, v: Word) -> None:
+def multiply(u: Word, v: Word) -> Word:
     if u.rank != v.rank:
         raise WordError(f"rank mismatch: {u.rank} != {v.rank}")
-
-
-def multiply(u: Word, v: Word) -> Word:
-    _same_rank(u, v)
     return Word(u.rank, tuple(_reduce_list(u.letters + v.letters)))
 
 
@@ -99,13 +98,11 @@ def invert(u: Word) -> Word:
 
 def conjugate(u: Word, v: Word) -> Word:
     """u^v = v^-1 u v."""
-    _same_rank(u, v)
     return multiply(multiply(invert(v), u), v)
 
 
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1."""
-    _same_rank(u, v)
     return multiply(multiply(u, v), multiply(invert(u), invert(v)))
 
 

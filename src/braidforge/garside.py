@@ -213,8 +213,6 @@ def product(n: int, forms: Iterable[NormalForm]) -> NormalForm:
     """Normal form of the product of the given normal forms, left to right."""
     b = _Product(n)
     for y in forms:
-        if y.strands != n:
-            raise ValueError(f"strand mismatch: {y.strands} != {n}")
         b.form(y)
     return b.result()
 

@@ -22,6 +22,7 @@ from .braid import (
     BraidWord,
     BraidError,
     artin,
+    braid,
     braid_equal,
     empty_braid,
     linking_numbers,
@@ -96,10 +97,6 @@ class WiringDiagram:
         for part, b in self.events:
             if part.n != self.n or b.strands != self.n:
                 raise WiringError("event size disagrees with diagram strand count")
-
-    @property
-    def m(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,7 @@ def parse_wiring(text: str) -> WiringDiagram:
             if current is None:
                 raise WiringError(f"line {lineno}: braid line before any partition")
             try:
-                b = BraidWord(n, tuple(int(tok) for tok in body.split()))
+                b = braid(n, [int(tok) for tok in body.split()])
             except (BraidError, ValueError) as exc:
                 raise WiringError(f"line {lineno}: {exc}") from exc
             events.append((current, b))

@@ -50,7 +50,7 @@ def test_typeb_lines_values():
 
 def test_typeb_n1_single_event():
     W = wiring_from_real_lines(typeb_lines(1))
-    assert W.m == 1
+    assert len(W.events) == 1
     assert W.events[0][0].blocks == ((1, 2, 3),)
 
 

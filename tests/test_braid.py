@@ -151,6 +151,11 @@ def test_out_of_range_letters_are_rejected_by_name(n):
         word(n, [0, n + 1])
 
 
+def test_braid_rejects_a_strand_count_below_one():
+    with pytest.raises(BraidError, match="^strand count must be positive, got 0$"):
+        braid(0, [])
+
+
 def test_present_monomial_at_the_guard():
     # (6,6) is the largest point the CLI admits.  Level j has rank
     # 1 + (j-1) r, and each lower generator acts on each level-j generator

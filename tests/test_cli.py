@@ -391,3 +391,11 @@ def test_monodromy_reports_a_second_braid_line(tmp_path):
     code, out = run_cli("monodromy", str(bad))
     assert code == 2
     assert out == "error: line 4: partition has a second 'B:' line\n"
+
+
+def test_monodromy_names_an_out_of_range_braid_letter(tmp_path):
+    bad = tmp_path / "letter.wd"
+    bad.write_text("n 3\nI: 1 2 3\nB: 7\n")
+    code, out = run_cli("monodromy", str(bad))
+    assert code == 2
+    assert out == "error: line 3: letter 7 out of range for 3 strands\n"

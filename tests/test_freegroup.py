@@ -45,6 +45,8 @@ def test_reduce_rejects_bad_letters():
         word(2, [0])
     with pytest.raises(WordError):
         word(2, [3])
+    with pytest.raises(WordError, match="^rank must be positive, got 0$"):
+        word(0, [])
 
 
 letters_strategy = st.lists(

@@ -208,3 +208,22 @@ def test_only_artin_reads_the_byte_tables():
     for name in ("_NEG", "_LETTER", "_join"):
         readers = _readers(("braid", name)) - {"braid"}
         assert readers and readers <= {"braid.artin", "braid._join"}, (name, readers)
+
+
+def _method(module: str, cls: str, name: str) -> ast.FunctionDef | None:
+    for node in _tree(module).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    return None
+
+
+def test_raw_letters_are_checked_where_they_enter():
+    # word and braid check raw letters; a value built from checked ones is
+    # trusted, so no constructor checks it again
+    assert _readers(("freegroup", "_check_letters")) == {"freegroup.word"}
+    assert _method("freegroup", "Word", "__post_init__") is None
+    init = _method("braid", "BraidWord", "__init__")
+    assert init is not None
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(init))

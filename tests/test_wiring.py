@@ -150,7 +150,7 @@ def test_wiring_from_b2_lines():
 
 def test_two_crossing_lines():
     W = wiring_from_real_lines([real_line(0, 0), real_line(1, 1)])
-    assert W.m == 1
+    assert len(W.events) == 1
     assert W.events[0][0].blocks == ((1, 2),)
 
 
@@ -188,7 +188,7 @@ I: 1 2 | 3 | 4 5
 B: 2 -3
 """
     W = parse_wiring(text)
-    assert W.m == 2
+    assert len(W.events) == 2
     assert W.events[1][1].letters == (2, -3)
 
 
