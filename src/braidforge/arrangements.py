@@ -22,8 +22,8 @@ from .braid import (
     artin,
     braid_equal,
     full_twist,
+    is_pure,
     linking_pairs,
-    permutation,
     product,
     pure_gen,
     u_chain,
@@ -299,7 +299,7 @@ class TowerLevel:
         for sym, b in self.braids.items():
             if b.strands != self.rank:
                 raise ArrangementError(f"braid for {sym.label()} has wrong strand count")
-            if not permutation(b).is_identity:
+            if not is_pure(b):
                 raise ArrangementError(f"braid for {sym.label()} is not pure")
 
 

@@ -29,10 +29,14 @@ each braid line through it.  Everything built from a braid (products, the
 named braids, which check their own indices, Artin images, permutations) is
 trusted and not checked again, except that :func:`product` and
 :func:`braid_equal` check that strand counts agree.
+
+Each strand fact has one form: :func:`permutation` is the tuple of end
+positions, which :func:`is_pure` compares with the identity, and
+:func:`linking_pairs` is the sparse map {(i, j): linking number} of a pure
+braid, counted straight from its crossings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
@@ -43,17 +47,16 @@ from .report import Report
 
 __all__ = [
     "BraidWord",
-    "StrandPermutation",
     "BraidError",
     "braid",
     "empty_braid",
     "artin",
     "braid_equal",
     "permutation",
+    "is_pure",
     "pure_gen",
     "full_twist",
     "u_chain",
-    "linking_numbers",
     "linking_pairs",
     "product",
     "verify_braid_relations",
@@ -224,35 +227,11 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     return a.form == b.form
 
 
-@dataclass(frozen=True)
-class StrandPermutation:
-    """The start-position to end-position map induced by a braid word.
+def permutation(b: BraidWord) -> tuple[int, ...]:
+    """Strand permutation of a braid word, sign-insensitive per letter.
 
-    Built only by :func:`permutation` and :meth:`inverse`, so it checks nothing.
+    Entry ``i - 1`` is the end position of the strand that starts at position i.
     """
-
-    n: int
-    images: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def of_set(self, items: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[i - 1] for i in items)
-
-    def inverse(self) -> "StrandPermutation":
-        inv = [0] * self.n
-        for start, end in enumerate(self.images, start=1):
-            inv[end - 1] = start
-        return StrandPermutation(self.n, tuple(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
-
-def permutation(b: BraidWord) -> StrandPermutation:
-    """Strand permutation of a braid word, sign-insensitive per letter."""
     at = list(range(1, b.strands + 1))
     for x in b.letters:
         i = abs(x) - 1
@@ -260,7 +239,12 @@ def permutation(b: BraidWord) -> StrandPermutation:
     images = [0] * b.strands
     for pos, label in enumerate(at, start=1):
         images[label - 1] = pos
-    return StrandPermutation(b.strands, tuple(images))
+    return tuple(images)
+
+
+def is_pure(b: BraidWord) -> bool:
+    """True iff every strand of the braid word ends where it starts."""
+    return permutation(b) == tuple(range(1, b.strands + 1))
 
 
 def pure_gen(i: int, j: int, n: int) -> BraidWord:
@@ -295,42 +279,28 @@ def u_chain(r: int, s: int, n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def linking_numbers(b: BraidWord) -> list[list[int]]:
-    """Linking matrix of a pure braid: half the signed crossings per strand pair.
+def linking_pairs(b: BraidWord) -> dict[tuple[int, int], int]:
+    """Linking numbers of a pure braid as {(i, j): value}, i < j, 1-based, keys ascending.
 
-    This is the abelianization of P_n onto the free abelian group on the
-    A_{i,j}, computed by direct crossing counting, independently of the
-    Artin representation.
+    Half the signed crossings of each pair of strands; pairs that do not
+    link are left out.  This is the abelianization of P_n onto the free
+    abelian group on the A_{i,j}, computed by direct crossing counting,
+    independently of the Artin representation.
     """
-    n = b.strands
-    counts = [[0] * n for _ in range(n)]
-    at = list(range(n))
+    counts: dict[tuple[int, int], int] = {}
+    start = list(range(1, b.strands + 1))
+    at = start[:]
     for x in b.letters:
         i = abs(x) - 1
         a, c = at[i], at[i + 1]
-        sign = 1 if x > 0 else -1
-        counts[a][c] += sign
-        counts[c][a] += sign
+        pair = (a, c) if a < c else (c, a)
+        counts[pair] = counts.get(pair, 0) + (1 if x > 0 else -1)
         at[i], at[i + 1] = c, a
-    if at != list(range(n)):
+    if at != start:
         raise BraidError("linking numbers are defined for pure braids only")
-    for a in range(n):
-        for c in range(n):
-            if counts[a][c] % 2 != 0:
-                raise BraidError("odd crossing count on a pure braid")
-            counts[a][c] //= 2
-    return counts
-
-
-def linking_pairs(b: BraidWord) -> dict[tuple[int, int], int]:
-    """Nonzero linking entries as {(i, j): value} with i < j, 1-based."""
-    m = linking_numbers(b)
-    out = {}
-    for i in range(b.strands):
-        for j in range(i + 1, b.strands):
-            if m[i][j]:
-                out[(i + 1, j + 1)] = m[i][j]
-    return out
+    if any(v % 2 for v in counts.values()):
+        raise BraidError("odd crossing count on a pure braid")
+    return {pair: v // 2 for pair, v in sorted(counts.items()) if v}
 
 
 def _pure_rel_rhs(i: int, j: int, k: int, l: int, n: int) -> BraidWord:

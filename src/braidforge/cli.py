@@ -17,7 +17,7 @@ from . import liealg
 from . import monomial as mono
 from .braid import (
     braid_to_text,
-    linking_numbers,
+    linking_pairs,
     verify_braid_relations,
     verify_pure_braid_relations,
 )
@@ -62,7 +62,9 @@ def _monodromy_text(W) -> str:
         lines.append(
             "V: " + " | ".join(" ".join(map(str, b)) for b in g.blocks)
         )
-        lk = linking_numbers(g.braid)
+        lk = [[0] * W.n for _ in range(W.n)]
+        for (a, b), value in linking_pairs(g.braid).items():
+            lk[a - 1][b - 1] = lk[b - 1][a - 1] = value
         lines.append("linking:")
         for row in lk:
             lines.append(" ".join(map(str, row)))
@@ -145,7 +147,11 @@ def _parse_flats_file(text: str) -> liealg.HolonomyPresentation:
         if not body:
             continue
         if body.startswith("gens:"):
+            if gens:
+                raise CliError(f"line {lineno}: second 'gens:' header")
             gens = body[5:].split()
+            if not gens:
+                raise CliError(f"line {lineno}: empty 'gens:' header")
             continue
         if body.startswith("flat:"):
             members = tuple(body[5:].split())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .braid import (
-    BraidWord, BraidError, braid_equal, empty_braid, linking_pairs, permutation, product
+    BraidWord, BraidError, braid_equal, empty_braid, is_pure, linking_pairs, product
 )
 from .liealg import _rank_of_rows
 from .report import Report
@@ -461,7 +461,7 @@ def verify_generators_free_factor(prm: MonomialParams) -> Report:
 
     vectors = []
     for name, b, expect_pairs in gens:
-        pure = permutation(b).is_identity
+        pure = is_pure(b)
         report.add(f"{name} is pure", pure)
         if not pure:
             continue

@@ -25,7 +25,8 @@ from .braid import (
     braid,
     braid_equal,
     empty_braid,
-    linking_numbers,
+    is_pure,
+    linking_pairs,
     permutation,
     product,
 )
@@ -106,17 +107,17 @@ class MonodromyGenerator:
     ``blocks`` partitions [n] by original wire label of the lines meeting at
     event j: the wire entering the event at position p is the one beta_j
     carries there, so each block of I(j) is carried back through the strand
-    permutation of beta_j to basepoint labels.  Singleton blocks are kept,
-    so the blocks partition [n].
+    permutation of beta_j to basepoint labels, and the blocks are sorted by
+    their least label.  ``positions`` holds each block as it stands in I(j),
+    in the order of ``blocks``.  Singleton blocks are kept, so both partition
+    [n].
     """
 
     index: int
     braid: BraidWord
     blocks: tuple[tuple[int, ...], ...]
+    positions: tuple[tuple[int, ...], ...]
     conjugator: BraidWord
-
-    def nontrivial_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.blocks if len(b) > 1)
 
 
 def permutation_braid_mu(block, n: int) -> BraidWord:
@@ -148,16 +149,14 @@ def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
     for j, (I, between) in enumerate(W.events, start=1):
         ups = upsilon(I)
         gamma = product([~beta, ups, ups, beta])
-        if not permutation(gamma).is_identity:
+        if not is_pure(gamma):
             raise WiringError(f"monodromy generator {j} is not pure")
         perm = permutation(beta)
-        blocks = tuple(
-            sorted(
-                (tuple(sorted(perm.of_set(b))) for b in I.blocks),
-                key=lambda b: b[0],
-            )
-        )
-        gens.append(MonodromyGenerator(j, gamma, blocks, beta))
+        # (labels, positions) per block; disjoint blocks sort by least label
+        carried = sorted((tuple(sorted(perm[p - 1] for p in b)), b) for b in I.blocks)
+        blocks = tuple(labels for labels, _ in carried)
+        positions = tuple(b for _, b in carried)
+        gens.append(MonodromyGenerator(j, gamma, blocks, positions, beta))
         beta = product([between, ups, beta])
     return gens
 
@@ -170,22 +169,13 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         in the lattice spanned by the block's characteristic vector and e_s;
     (c) the braid equals the product of its per-block conjugated half-twist
         squares in block order, and those factors commute pairwise, which is
-        exactly what makes the product the same in every block order.
+        exactly what makes the product the same in every block order.  Each
+        factor is beta_j^-1 mu^2 beta_j with mu the half twist on the block's
+        positions in I(j), read from ``g.positions``.
     """
     report = Report(f"twist shape, generator {g.index}")
-    lk = linking_numbers(g.braid)
-    in_block: dict[tuple[int, int], int] = {}
-    for block in g.blocks:
-        for a in block:
-            for b in block:
-                if a < b:
-                    in_block[(a, b)] = 1
-    ok = all(
-        lk[a - 1][b - 1] == in_block.get((a, b), 0)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-    )
-    report.add("linking pattern matches V(j)", ok)
+    in_block = {(a, b): 1 for block in g.blocks for a in block for b in block if a < b}
+    report.add("linking pattern matches V(j)", linking_pairs(g.braid) == in_block)
 
     by_strand = {s: block for block in g.blocks for s in block}
     e = artin(g.braid)
@@ -209,11 +199,11 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
             f"block={block} ab={ab}",
         )
 
-    perm_inv = permutation(g.conjugator).inverse()
     factors = []
-    for block in g.nontrivial_blocks():
-        mu = permutation_braid_mu(sorted(perm_inv(s) for s in block), n)
-        factors.append(product([~g.conjugator, mu, mu, g.conjugator]))
+    for block in g.positions:
+        if len(block) > 1:
+            mu = permutation_braid_mu(block, n)
+            factors.append(product([~g.conjugator, mu, mu, g.conjugator]))
     report.add("per-block product", braid_equal(product(factors, n), g.braid))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -323,7 +313,10 @@ def parse_wiring(text: str) -> WiringDiagram:
                     blocks.append(tuple(int(tok) for tok in entries))
                 except ValueError as exc:
                     raise WiringError(f"line {lineno}: bad block entry") from exc
-            current = ConsecutivePartition(n, tuple(blocks))
+            try:
+                current = ConsecutivePartition(n, tuple(blocks))
+            except WiringError as exc:
+                raise WiringError(f"line {lineno}: {exc}") from exc
         else:
             if current is None and events:
                 raise WiringError(f"line {lineno}: partition has a second 'B:' line")

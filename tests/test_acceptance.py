@@ -251,7 +251,7 @@ def test_criterion_10_property_suites():
                 core = list(e.images[j - 1].letters)
                 while len(core) > 1 and core[0] == -core[-1]:
                     core = core[1:-1]
-                ok = ok and core == [perm(j)]
+                ok = ok and core == [perm[j - 1]]
             if not ok:
                 failures += 1
         # braid_equal invariant under relator insertion

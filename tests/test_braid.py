@@ -14,7 +14,7 @@ from braidforge.braid import (
     braid_to_text,
     empty_braid,
     full_twist,
-    linking_numbers,
+    is_pure,
     linking_pairs,
     permutation,
     product,
@@ -195,10 +195,10 @@ def test_braid_equal_relations():
 
 
 def test_permutation_examples():
-    assert permutation(braid(2, [1])).images == (2, 1)
-    assert permutation(pure_gen(1, 2, 2)).is_identity
+    assert permutation(braid(2, [1])) == (2, 1)
+    assert is_pure(pure_gen(1, 2, 2))
     # the monomial rho_0 word at r=3: a 3-cycle moving 2->3->4->2
-    assert permutation(braid(7, [3, 2, 1, 1])).images == (1, 3, 4, 2, 5, 6, 7)
+    assert permutation(braid(7, [3, 2, 1, 1])) == (1, 3, 4, 2, 5, 6, 7)
 
 
 def test_pure_gen():
@@ -214,7 +214,7 @@ def test_full_twist():
     expected = pure_gen(2, 3, 5) * pure_gen(2, 4, 5) * pure_gen(3, 4, 5)
     assert ft.letters == expected.letters
     assert full_twist({3}, 5).letters == ()
-    assert permutation(ft).is_identity
+    assert is_pure(ft)
     with pytest.raises(BraidError):
         full_twist(set(), 3)
     with pytest.raises(BraidError):
@@ -252,11 +252,11 @@ def test_linking_numbers():
         (2, 3): 1,
     }
     with pytest.raises(BraidError, match="defined for pure braids only"):
-        linking_numbers(braid(3, [1]))
+        linking_pairs(braid(3, [1]))
     # strands 1 and 2 cross once and the braid is not pure: purity is
     # reported before the odd crossing count
     with pytest.raises(BraidError, match="defined for pure braids only"):
-        linking_numbers(braid(3, [1, 2, 2]))
+        linking_pairs(braid(3, [1, 2, 2]))
 
 
 def test_linking_additive_under_multiplication():
@@ -266,15 +266,53 @@ def test_linking_additive_under_multiplication():
         a = random_braid(rng, n, 8)
         a = a * ~a * pure_gen(1, 2, n)  # ensure pure
         b = pure_gen(1, n, n) if n > 1 else empty_braid(n)
-        la, lb, lab = (
-            linking_numbers(a),
-            linking_numbers(b),
-            linking_numbers(a * b),
-        )
-        for i in range(n):
-            for j in range(n):
-                assert lab[i][j] == la[i][j] + lb[i][j]
+        la, lb, lab = linking_pairs(a), linking_pairs(b), linking_pairs(a * b)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert lab.get((i, j), 0) == la.get((i, j), 0) + lb.get((i, j), 0)
 
+
+
+def random_pure_braid(rng, n, max_len):
+    """Random letters, then a bubble sort of the strands home with random signs."""
+    letters = list(random_braid(rng, n, max_len).letters)
+    at = list(range(n))
+    for x in letters:
+        i = abs(x) - 1
+        at[i], at[i + 1] = at[i + 1], at[i]
+    for _ in range(n):
+        for i in range(n - 1):
+            if at[i] > at[i + 1]:
+                letters.append(rng.choice((i + 1, -(i + 1))))
+                at[i], at[i + 1] = at[i + 1], at[i]
+    return braid(n, letters)
+
+
+def dense_linking(b):
+    """Half the signed crossings per strand pair, counted in an n x n matrix."""
+    n = b.strands
+    m = [[0] * n for _ in range(n)]
+    at = list(range(n))
+    for x in b.letters:
+        i = abs(x) - 1
+        a, c = at[i], at[i + 1]
+        m[a][c] += 1 if x > 0 else -1
+        m[c][a] = m[a][c]
+        at[i], at[i + 1] = c, a
+    assert all(v % 2 == 0 for row in m for v in row)
+    return {(i + 1, j + 1): m[i][j] // 2
+            for i in range(n) for j in range(i + 1, n) if m[i][j]}
+
+
+def test_linking_pairs_match_a_dense_crossing_count():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        b = random_pure_braid(rng, n, 16)
+        assert is_pure(b)
+        pairs = linking_pairs(b)
+        assert pairs == dense_linking(b)
+        assert list(pairs) == sorted(pairs)
 
 def test_verify_relation_suites():
     assert verify_braid_relations(3).passed
@@ -334,7 +372,7 @@ def test_artin_image_is_conjugate_of_permuted_generator(n, data):
         core = list(e.images[j - 1].letters)
         while len(core) > 1 and core[0] == -core[-1]:
             core = core[1:-1]
-        assert core == [perm(j)]
+        assert core == [perm[j - 1]]
 
 
 @given(st.integers(3, 5), st.data())

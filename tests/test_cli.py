@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -202,9 +203,11 @@ def test_lie_flats_file(tmp_path):
         ("flat: a a b\n", "flat member 'a' is repeated"),
         ("gens: a b c\nflat: a b\nflat: a b c\n", "pair 'a', 'b' lies in two flats"),
         ("# comments only\n\n", "flats file names no generator"),
+        ("gens: a b\ngens: a b c\nflat: a b\n", "line 2: second 'gens:' header"),
+        ("gens:\nflat: a b\n", "line 1: empty 'gens:' header"),
     ],
     ids=["duplicate-gens", "unknown-member", "one-member", "repeated-member", "pair-in-two-flats",
-         "no-generator"],
+         "no-generator", "second-gens-header", "empty-gens-header"],
 )
 def test_lie_flats_file_errors(tmp_path, text, message):
     flats = tmp_path / "bad.flats"
@@ -399,3 +402,62 @@ def test_monodromy_names_an_out_of_range_braid_letter(tmp_path):
     code, out = run_cli("monodromy", str(bad))
     assert code == 2
     assert out == "error: line 3: letter 7 out of range for 3 strands\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n 3\nI: 1 2\n", "line 2: blocks do not cover [1,3]: ((1, 2),)"),
+        ("n 3\nI: 1 2 3\nI: 1 3 | 2\n", "line 3: blocks not consecutive/ordered: ((1, 3), (2,))"),
+    ],
+    ids=["uncovered", "out-of-order"],
+)
+def test_monodromy_names_the_line_of_a_bad_partition(tmp_path, text, message):
+    bad = tmp_path / "bad.wd"
+    bad.write_text(text)
+    code, out = run_cli("monodromy", str(bad))
+    assert code == 2
+    assert out == f"error: {message}\n"
+
+
+def _seeded_wiring_text(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    letters = [s for s in range(-(n - 1), n) if s != 0]
+    rows = [f"n {n}"]
+    for _ in range(rng.randint(2, 5)):
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        bounds = [0] + cuts + [n]
+        rows.append("I: " + " | ".join(
+            " ".join(map(str, range(a + 1, b + 1))) for a, b in zip(bounds, bounds[1:])))
+        rows.append("B: " + " ".join(str(rng.choice(letters)) for _ in range(rng.randint(0, 5))))
+    return "\n".join(rows) + "\n"
+
+
+def _seeded_lines_text(seed):
+    rng = random.Random(seed)
+    grid = [(s, c) for s in range(-3, 4) for c in range(-3, 4)]
+    return "".join(f"{s} {c}\n" for s, c in rng.sample(grid, rng.randint(3, 6)))
+
+
+# sha256 prefix of the stdout of `monodromy` and `lines` on seeded inputs,
+# recorded before linking numbers were counted into a sparse map, so the
+# printed linking matrices stay byte-stable
+MONODROMY_DIGESTS = {
+    ("monodromy", 1): "55a6fd7d090f47b0",
+    ("monodromy", 2): "29b4b06a28749ba9",
+    ("monodromy", 3): "f3ef985ac69e3f1f",
+    ("lines", 1): "26fdc518f2d0a4b1",
+    ("lines", 2): "2fd0c48fefc6bb5d",
+    ("lines", 3): "debe04cb74a5fca0",
+}
+
+
+@pytest.mark.parametrize("command,seed", sorted(MONODROMY_DIGESTS))
+def test_monodromy_output_digests(tmp_path, command, seed):
+    path = tmp_path / f"seeded.{command}"
+    maker = _seeded_wiring_text if command == "monodromy" else _seeded_lines_text
+    path.write_text(maker(seed))
+    code, out = run_cli(command, str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == MONODROMY_DIGESTS[command, seed]

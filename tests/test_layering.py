@@ -227,3 +227,10 @@ def test_raw_letters_are_checked_where_they_enter():
     init = _method("braid", "BraidWord", "__init__")
     assert init is not None
     assert not any(isinstance(node, ast.Raise) for node in ast.walk(init))
+
+
+def test_one_reader_each_for_the_strand_permutation():
+    # purity asks is_pure; the monodromy carries event blocks to basepoint
+    # labels once and keeps both on the generator, so no suite reads the
+    # permutation again
+    assert _readers(("braid", "permutation")) == {"braid.is_pure", "wiring.braid_monodromy"}

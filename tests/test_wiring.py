@@ -1,10 +1,14 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidforge.braid import braid, braid_equal, empty_braid, full_twist, linking_pairs, permutation, pure_gen
+from braidforge.braid import (
+    braid, braid_equal, empty_braid, full_twist, is_pure, linking_pairs, permutation, pure_gen
+)
 from braidforge.wiring import (
     WiringDiagram,
     WiringError,
@@ -102,12 +106,50 @@ def test_blocks_match_linking():
         pairs = set(linking_pairs(g.braid))
         expected = {
             (a, b)
-            for block in g.nontrivial_blocks()
+            for block in g.blocks
             for a in block
             for b in block
             if a < b
         }
         assert pairs == expected
+
+
+def _random_diagram(rng, n, m):
+    letters = [s for s in range(-(n - 1), n) if s != 0]
+    events = []
+    for _ in range(m):
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        bounds = [0] + cuts + [n]
+        I = partition(n, [range(a + 1, b + 1) for a, b in zip(bounds, bounds[1:])])
+        events.append((I, braid(n, [rng.choice(letters) for _ in range(rng.randint(0, 6))])))
+    return WiringDiagram(n, tuple(events))
+
+
+def _random_lines(rng):
+    # small integer data, so that several lines often meet in one point
+    grid = [(s, c) for s in range(-3, 4) for c in range(-3, 4)]
+    while True:
+        lines = [real_line(s, c) for s, c in rng.sample(grid, rng.randint(3, 7))]
+        if len({l.slope for l in lines}) > 1:
+            return lines
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_positions_carry_onto_blocks(seed):
+    # the conjugator's strand permutation carries each block's positions at
+    # I(j) onto the block's basepoint labels, and each position block is a
+    # block of I(j)
+    rng = random.Random(seed)
+    diagrams = [
+        _random_diagram(rng, rng.randint(2, 7), rng.randint(1, 5)),
+        wiring_from_real_lines(_random_lines(rng)),
+    ]
+    for W in diagrams:
+        for g, (I, _) in zip(braid_monodromy(W), W.events):
+            perm = permutation(g.conjugator)
+            carried = [tuple(sorted(perm[p - 1] for p in pos)) for pos in g.positions]
+            assert carried == list(g.blocks)
+            assert sorted(g.positions) == sorted(I.blocks)
 
 
 def test_single_event_all_singletons():
@@ -128,7 +170,7 @@ def test_twist_shape_checks_every_block_pair():
     # blocks, whose factors must commute pairwise for every order to agree
     lines = [real_line(s * k, 10 * k) for k in range(1, 6) for s in (1, -1)]
     W = wiring_from_real_lines(lines)
-    [g] = [g for g in braid_monodromy(W) if len(g.nontrivial_blocks()) == 5]
+    [g] = [g for g in braid_monodromy(W) if sum(len(b) > 1 for b in g.blocks) == 5]
     rep = verify_twist_shape(g, W.n)
     names = [c.name for c in rep.checks
              if c.name == "per-block product" or c.name.startswith("block factors")]
@@ -167,15 +209,10 @@ def test_wiring_lines_pair_linking_at_most_once():
     # every pair of lines meets at most once, so linking numbers sum to <= 1
     lines = [real_line(k, Fraction(k * k, 2)) for k in range(-2, 3)]
     W = wiring_from_real_lines(lines)
-    total = [[0] * W.n for _ in range(W.n)]
-    from braidforge.braid import linking_numbers
-
+    total = Counter()
     for g in braid_monodromy(W):
-        lk = linking_numbers(g.braid)
-        for a in range(W.n):
-            for b in range(W.n):
-                total[a][b] += lk[a][b]
-    assert all(v <= 1 for row in total for v in row)
+        total.update(linking_pairs(g.braid))
+    assert all(v <= 1 for v in total.values())
 
 
 def test_parse_serialize_round_trip():
@@ -238,7 +275,7 @@ def test_monodromy_generators_are_pure_on_random_diagrams(n, data):
         events.append((I, b))
     W = WiringDiagram(n, tuple(events))
     for g in braid_monodromy(W):
-        assert permutation(g.braid).is_identity
+        assert is_pure(g.braid)
         assert sorted(x for block in g.blocks for x in block) == list(range(1, n + 1))
 
 
@@ -261,7 +298,6 @@ def test_basepoint_conjugation_conjugates_every_generator(data):
 def test_block_sizes_match_concurrency_counts():
     # multiset of block sizes at each event = multiset of concurrent-line
     # counts at that x-value, recomputed directly from the line data
-    from collections import Counter
     from braidforge.arrangements import typeb_lines
 
     lines = typeb_lines(3)
