@@ -22,6 +22,8 @@ works, :func:`artin` holds each image as ``bytes``, one signed byte per
 letter, so inverting an image is a slice and finding how far two images
 cancel is one integer XOR; this bounds it at 127 strands (the CLI's guard
 needs at most 37).  Outside :func:`artin` every image is a :class:`Word`.
+A normal form holds one byte per strand position, so
+:attr:`BraidWord.form` takes at most 256 strands.
 
 Raw letters are checked in one place, :func:`braid`, which rejects a strand
 count below 1 and a letter outside +-1..+-(n-1); the wiring parser reads
@@ -102,9 +104,16 @@ class BraidWord:
 
     @cached_property
     def form(self) -> NormalForm:
-        """Garside left normal form: read from given letters, multiplied from built parts."""
+        """Garside left normal form: read from given letters, multiplied from built parts.
+
+        Each simple factor holds one byte per strand position, so this takes
+        at most 256 strands.
+        """
+        n = self.strands
+        if n > 256:
+            raise BraidError(f"normal forms take at most 256 strands (one byte per position), got {n}")
         if not self.parts:
-            return normal_form(self.strands, self.letters)
+            return normal_form(n, self.letters)
         stack = [self]
         while stack:
             b = stack.pop()
@@ -282,10 +291,12 @@ def u_chain(r: int, s: int, n: int) -> BraidWord:
 def linking_pairs(b: BraidWord) -> dict[tuple[int, int], int]:
     """Linking numbers of a pure braid as {(i, j): value}, i < j, 1-based, keys ascending.
 
-    Half the signed crossings of each pair of strands; pairs that do not
-    link are left out.  This is the abelianization of P_n onto the free
-    abelian group on the A_{i,j}, computed by direct crossing counting,
-    independently of the Artin representation.
+    Half the signed crossings of each pair of strands (two strands of a
+    pure braid end in their starting order, so they cross an even number of
+    times); pairs that do not link are left out.  This is the
+    abelianization of P_n onto the free abelian group on the A_{i,j},
+    computed by direct crossing counting, independently of the Artin
+    representation.
     """
     counts: dict[tuple[int, int], int] = {}
     start = list(range(1, b.strands + 1))
@@ -298,8 +309,6 @@ def linking_pairs(b: BraidWord) -> dict[tuple[int, int], int]:
         at[i], at[i + 1] = c, a
     if at != start:
         raise BraidError("linking numbers are defined for pure braids only")
-    if any(v % 2 for v in counts.values()):
-        raise BraidError("odd crossing count on a pure braid")
     return {pair: v // 2 for pair, v in sorted(counts.items()) if v}
 
 

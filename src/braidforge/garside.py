@@ -9,16 +9,22 @@ Two braid words are equal in B_n exactly when their normal forms are equal,
 so braid equality is tuple equality of (k, factors) and needs no free-group
 images.
 
-A simple element is stored as the 0-based position map of its strands: the
-strand starting at position j ends at position ``perm[j]``.  Letters act
-left to right as in :mod:`braidforge.braid`, so sigma_i swaps positions
-i-1 and i.  The starting set of a simple element (the sigma_i it can begin
-with) is the descent set of its map, and the finishing set is the descent
-set of the inverse map.  Both are held as bitmasks, bit i-1 for sigma_i.
+A simple element is stored as ``bytes`` of length n holding the 0-based
+position map of its strands: the strand starting at position j ends at
+position ``perm[j]``.  So a position is one byte, which bounds the strand
+count at 256 (:attr:`braidforge.braid.BraidWord.form` checks it).  Inverting
+a map is one ``bytes.translate`` through ``bytes.maketrans``, and tau and the
+complement reverse or translate through a flip table v -> n-1-v, so all
+three run in C.  Letters act left to right as in :mod:`braidforge.braid`, so
+sigma_i swaps positions i-1 and i.  The starting set of a simple element
+(the sigma_i it can begin with) is the descent set of its map, and the
+finishing set is the descent set of the inverse map.  Both are held as
+bitmasks, bit i-1 for sigma_i.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 __all__ = [
@@ -33,7 +39,7 @@ __all__ = [
     "finishing_set",
 ]
 
-Simple = tuple[int, ...]
+Simple = bytes
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,17 @@ class NormalForm:
     factors: tuple[Simple, ...]
 
 
-def _inverse_map(a) -> list[int]:
-    inv = [0] * len(a)
-    for j, v in enumerate(a):
-        inv[v] = j
-    return inv
+@cache
+def _tables(n: int) -> tuple[bytes, bytes, bytes]:
+    """The identity and Delta of B_n as simple elements, and the flip table v -> n-1-v."""
+    ident = bytes(range(n))
+    delta = ident[::-1]
+    return ident, delta, delta.ljust(256, b"\0")
+
+
+def _inverse_map(a: bytes) -> bytes:
+    ident = _tables(len(a))[0]
+    return ident.translate(bytes.maketrans(a, ident))
 
 
 def _descents(p) -> int:
@@ -72,14 +84,12 @@ def finishing_set(a: Simple) -> int:
 
 def simple_tau(a: Simple) -> Simple:
     """Delta a Delta^-1, which maps sigma_i to sigma_{n-i}."""
-    top = len(a) - 1
-    return tuple(top - a[top - j] for j in range(top + 1))
+    return a[::-1].translate(_tables(len(a))[2])
 
 
 def complement(a: Simple) -> Simple:
     """The right complement a^-1 Delta, a simple element."""
-    top = len(a) - 1
-    return tuple(top - v for v in _inverse_map(a))
+    return _inverse_map(a).translate(_tables(len(a))[2])
 
 
 def _left_weight(a: Simple, b: Simple):
@@ -96,10 +106,10 @@ def _left_weight(a: Simple, b: Simple):
     so b' = c^-1 b is the first list and a' = ac inverts the second.  None
     means c = 1: the pair is left-weighted.
     """
-    top = len(b) - 1
-    if b[0] == top and b == tuple(range(top, -1, -1)):
+    ident, delta, _ = _tables(len(b))
+    if b == delta:
         return None if a == b else (b, simple_tau(a))
-    ai = _inverse_map(a)
+    ai = ident.translate(bytes.maketrans(a, ident))
     bo: list[int] = []
     ao: list[int] = []
     for k, bk in enumerate(b):
@@ -109,8 +119,8 @@ def _left_weight(a: Simple, b: Simple):
             p -= 1
         bo.insert(p, bk)
         ao.insert(p, ak)
-    b2 = tuple(bo)
-    return None if b2 == b else (tuple(_inverse_map(ao)), b2)
+    b2 = bytes(bo)
+    return None if b2 == b else (ident.translate(bytes.maketrans(bytes(ao), ident)), b2)
 
 
 class _Product:
@@ -126,8 +136,7 @@ class _Product:
 
     def __init__(self, n: int):
         self.n = n
-        self.ident = tuple(range(n))
-        self.half_twist = tuple(range(n - 1, -1, -1))
+        self.ident, self.half_twist, _ = _tables(n)
         self.power = 0
         self.twist = 0
         self.factors: list[Simple] = []
@@ -180,11 +189,12 @@ class _Product:
             self._close_run(run, sign)
 
     def _close_run(self, run: list[int], sign: int) -> None:
+        inv = _inverse_map(bytes(run))
         if sign > 0:
-            self.simple(tuple(_inverse_map(run)))
-        else:
+            self.simple(inv)
+        else:  # tau(T^-1 Delta) is the inverse map of T reversed
             self.delta_power(-1)
-            self.simple(simple_tau(complement(run)))
+            self.simple(inv[::-1])
 
     def form(self, y: NormalForm) -> None:
         self.delta_power(y.power)

@@ -253,8 +253,8 @@ def test_linking_numbers():
     }
     with pytest.raises(BraidError, match="defined for pure braids only"):
         linking_pairs(braid(3, [1]))
-    # strands 1 and 2 cross once and the braid is not pure: purity is
-    # reported before the odd crossing count
+    # strands 1 and 2 cross an odd number of times only in a braid that is
+    # not pure, and that is what is reported
     with pytest.raises(BraidError, match="defined for pure braids only"):
         linking_pairs(braid(3, [1, 2, 2]))
 

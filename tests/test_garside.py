@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidforge import garside
-from braidforge.braid import BraidWord, artin, braid_equal
+from braidforge.braid import BraidError, BraidWord, artin, braid, braid_equal
 
 
 @st.composite
@@ -98,7 +98,7 @@ def test_delta_squared_is_central(pair):
 def test_normal_form_is_left_weighted_without_delta_or_identity(pair):
     n, a, b = pair
     for x in (nf(n, a), nf(n, b), mul(nf(n, a), nf(n, b)), garside.inverse(nf(n, a))):
-        ident, half_twist = tuple(range(n)), tuple(range(n - 1, -1, -1))
+        ident, half_twist = bytes(range(n)), bytes(range(n - 1, -1, -1))
         for f in x.factors:
             assert sorted(f) == list(range(n))
             assert f != ident and f != half_twist
@@ -116,8 +116,34 @@ def test_simple_elements_and_sets():
     assert garside.complement(a) == nf(3, [1]).factors[0]
     assert garside.simple_tau(a) == nf(3, [2, 1]).factors[0]
     # sigma_1^-1 = Delta^-1 (sigma_1 sigma_2) in B_3
-    assert nf(3, [-1]) == garside.NormalForm(3, -1, ((2, 0, 1),))
+    assert nf(3, [-1]) == garside.NormalForm(3, -1, (bytes((2, 0, 1)),))
     assert nf(1, []) == garside.NormalForm(1, 0, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))), st.data())
+def test_byte_maps_match_the_position_map_definitions(perm, data):
+    """Inverse, tau and complement equal loops over the map; every normal-form factor is bytes."""
+    a, n = bytes(perm), len(perm)
+    top = n - 1
+    inv = [0] * n
+    for j, v in enumerate(perm):
+        inv[v] = j
+    assert garside._inverse_map(a) == bytes(inv)
+    assert garside.simple_tau(a) == bytes(top - perm[top - j] for j in range(n))
+    assert garside.complement(a) == bytes(top - v for v in inv)
+    x = nf(n, data.draw(words(n, 30)) if n > 1 else [])
+    for y in (x, garside.inverse(x), mul(x, x)):
+        assert all(type(f) is bytes and len(f) == n for f in y.factors)
+
+
+def test_normal_forms_take_at_most_256_strands():
+    top = braid(256, [255, 1, -255, 2, 1])
+    assert braid_equal(top, braid(256, [1, 2, 1]))
+    assert all(len(f) == 256 for f in top.form.factors)
+    for b in (braid(257, [256, 1]), braid(257, [1]) * braid(257, [-256])):
+        with pytest.raises(BraidError, match="at most 256 strands"):
+            b.form
 
 
 def _left_weight_by_definition(a, b):
@@ -129,17 +155,17 @@ def _left_weight_by_definition(a, b):
             return (a, b) if moved else None
         i = (movable & -movable).bit_length()  # sigma_i swaps positions i-1, i
         swap = {i - 1: i, i: i - 1}
-        a = tuple(swap.get(v, v) for v in a)
-        b = b[: i - 1] + (b[i], b[i - 1]) + b[i + 1 :]
+        a = bytes(swap.get(v, v) for v in a)
+        b = b[: i - 1] + bytes((b[i], b[i - 1])) + b[i + 1 :]
         moved = True
 
 
 @st.composite
 def simple_pairs(draw):
     n = draw(st.integers(2, 9))
-    delta = tuple(range(n - 1, -1, -1))
-    simple = st.one_of(st.permutations(range(n)), st.just(delta), st.just(tuple(range(n))))
-    return tuple(draw(simple)), tuple(draw(simple))
+    delta = bytes(range(n - 1, -1, -1))
+    simple = st.one_of(st.permutations(range(n)), st.just(delta), st.just(bytes(range(n))))
+    return bytes(draw(simple)), bytes(draw(simple))
 
 
 @settings(max_examples=500, deadline=None)
@@ -151,8 +177,8 @@ def test_left_weight_matches_the_definition(pair):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_left_weight_moves_delta_in_one_step(n):
-    delta = tuple(range(n - 1, -1, -1))
-    for a in itertools.islice(itertools.permutations(range(n)), 200):
+    delta = bytes(range(n - 1, -1, -1))
+    for a in map(bytes, itertools.islice(itertools.permutations(range(n)), 200)):
         if a != delta:
             assert garside._left_weight(a, delta) == (delta, garside.simple_tau(a))
     assert garside._left_weight(delta, delta) is None

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,22 @@ def test_twist_shape_checks_every_block_pair():
     assert len(names) == 1 + 10
     assert "block factors 4, 5 commute" in names
     assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["dropped", "extra"])
+def test_twist_shape_fails_a_dropped_or_extra_block_twist(extra):
+    # one block's conjugated full twist taken out of the braid, or put in twice
+    checked = 0
+    for g in braid_monodromy(b2_diagram()):
+        beta = g.conjugator
+        for block in (b for b in g.positions if len(b) > 1):
+            mu = permutation_braid_mu(block, 5)
+            twist = ~beta * mu * mu * beta
+            bad = replace(g, braid=g.braid * twist if extra else g.braid * ~twist)
+            [check] = [c for c in verify_twist_shape(bad, 5).checks if c.name == "per-block product"]
+            assert not check.ok
+            checked += 1
+    assert checked == 6
 
 
 def test_twist_shape_empty_braid_vacuous():
