@@ -12,7 +12,11 @@ Braid equality is :func:`braid_equal`, decided by Garside left normal form
 its normal form as :attr:`BraidWord.form`: a given word reads it from its
 letters, and a built one multiplies its parts' cached forms, so a block
 built once is normalised once and a conjugate of it costs one product of
-forms.  The Artin representation is kept for the places that print or
+forms.  Before it reads a form, :func:`braid_equal` cancels the top-level
+parts both braids share at either end (the same object with the same
+sign), so two conjugates by one braid compare only their middles; ``~~x``
+is ``x`` itself, so a conjugate by an inverse shares its ends too.  The
+Artin representation is kept for the places that print or
 inspect free-group images, and as an independent oracle in the tests.
 :func:`artin` reads a word right to left: prefixing one letter to a word
 whose action is already known rewrites only the images of the two
@@ -129,7 +133,11 @@ class BraidWord:
         return product([self, other])
 
     def __invert__(self) -> BraidWord:
-        return BraidWord(self.strands, (), ((self, -1),)) if self.length else self
+        if not self.length:
+            return self
+        if len(self.parts) == 1:  # only ~ builds a one-part braid, so ~~x is x
+            return self.parts[0][0]
+        return BraidWord(self.strands, (), ((self, -1),))
 
     def __pow__(self, k: int) -> BraidWord:
         return product([self] * k if k >= 0 else [~self] * -k, self.strands)
@@ -229,11 +237,50 @@ def artin(b: BraidWord) -> Endomorphism:
     return Endomorphism(n, tuple(Word(n, tuple(map(letter, img))) for img in images))
 
 
+def _spine(b: BraidWord) -> list[tuple[BraidWord, int]]:
+    """The top-level parts of b as (braid, sign), with each ``~w`` read as (w, -1)."""
+    spine = []
+    for p, s in b.parts or ((b, 1),):
+        if len(p.parts) == 1:
+            q, t = p.parts[0]
+            p, s = q, s * t
+        spine.append((p, s))
+    return spine
+
+
+def _middle(n: int, parts: list[tuple[BraidWord, int]]) -> BraidWord:
+    """The product of a run of spine parts, reusing a lone part and its cached form."""
+    if len(parts) == 1:
+        p, s = parts[0]
+        return p if s > 0 else ~p
+    return BraidWord(n, (), tuple(parts)) if parts else empty_braid(n)
+
+
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """True iff the two words define the same element of B_n."""
-    if a.strands != b.strands:
-        raise BraidError(f"strand mismatch: {a.strands} != {b.strands}")
-    return a.form == b.form
+    """True iff the two words define the same element of B_n.
+
+    The top-level parts the two braids share at either end cancel first:
+    a shared part is the same object with the same sign, ``~w`` counting as
+    (w, -1).  If a = P X S and b = P Y S, then a = b exactly when X = Y, so
+    only the middles' normal forms are read, and a conjugate compared with a
+    conjugate by the same braid never normalises the conjugator.  Only the
+    spine is inspected, not the parts' own parts.
+    """
+    n = a.strands
+    if n != b.strands:
+        raise BraidError(f"strand mismatch: {n} != {b.strands}")
+    x, y = _spine(a), _spine(b)
+    # == on (braid, sign) pairs is identity on the braid: BraidWord has no __eq__
+    m = min(len(x), len(y))
+    head = 0
+    while head < m and x[head] == y[head]:
+        head += 1
+    tail = 0
+    while tail < m - head and x[-1 - tail] == y[-1 - tail]:
+        tail += 1
+    if not head and not tail:
+        return a.form == b.form
+    return _middle(n, x[head:len(x) - tail]).form == _middle(n, y[head:len(y) - tail]).form
 
 
 def permutation(b: BraidWord) -> tuple[int, ...]:

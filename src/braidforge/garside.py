@@ -232,10 +232,11 @@ def inverse(x: NormalForm) -> NormalForm:
 
     Here dA = A^-1 Delta is the right complement; the reversed sequence of
     twisted complements is again left-weighted, so no sweep is needed.
+    tau(dA) is the inverse map of A reversed, as in ``_Product._close_run``.
     """
     k, m = x.power, len(x.factors)
     out = []
     for i in range(m, 0, -1):
-        d = complement(x.factors[i - 1])
-        out.append(simple_tau(d) if (k + i) & 1 else d)
+        a = x.factors[i - 1]
+        out.append(_inverse_map(a)[::-1] if (k + i) & 1 else complement(a))
     return NormalForm(x.strands, -k - m, tuple(out))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 
 from .braid import (
@@ -120,9 +121,13 @@ class MonodromyGenerator:
     conjugator: BraidWord
 
 
-def permutation_braid_mu(block, n: int) -> BraidWord:
-    """Half twist on an interval block: (s_i..s_{i+s-1})(s_i..s_{i+s-2})..(s_i)."""
-    block = tuple(block)
+@cache
+def permutation_braid_mu(block: tuple[int, ...], n: int) -> BraidWord:
+    """Half twist on an interval block: (s_i..s_{i+s-1})(s_i..s_{i+s-2})..(s_i).
+
+    Built once per (block, n), so its normal form is read from its letters
+    once per process.
+    """
     if not block:
         raise WiringError("mu needs a nonempty block")
     for k, x in enumerate(block):
@@ -135,6 +140,13 @@ def permutation_braid_mu(block, n: int) -> BraidWord:
     for top in range(block[-1] - 1, i - 1, -1):
         letters.extend(range(i, top + 1))
     return BraidWord(n, tuple(letters))
+
+
+@cache
+def _full_twist_on(block: tuple[int, ...], n: int) -> BraidWord:
+    """mu_B^2, the full twist on an interval block, built once per (block, n)."""
+    mu = permutation_braid_mu(block, n)
+    return mu * mu
 
 
 def upsilon(I: ConsecutivePartition) -> BraidWord:
@@ -175,7 +187,11 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         beta_j is an automorphism, so the product of the factors is
         beta_j^-1 (prod mu_B^2) beta_j, and two factors commute exactly when
         their mu_B^2 do: the check conjugates the product once and runs the
-        commute checks on the mu_B^2 themselves.
+        commute checks on the mu_B^2 themselves.  The half twists and their
+        squares are built once per (block, n).  The generator is built as
+        beta_j^-1 Upsilon Upsilon beta_j, so :func:`braid_equal` cancels
+        the shared beta_j at both ends and normalises neither beta_j nor
+        the generator.
     """
     report = Report(f"twist shape, generator {g.index}")
     in_block = {(a, b): 1 for block in g.blocks for a in block for b in block if a < b}
@@ -203,11 +219,7 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
             f"block={block} ab={ab}",
         )
 
-    twists = []
-    for block in g.positions:
-        if len(block) > 1:
-            mu = permutation_braid_mu(block, n)
-            twists.append(mu * mu)
+    twists = [_full_twist_on(block, n) for block in g.positions if len(block) > 1]
     beta = g.conjugator
     report.add("per-block product", braid_equal(product([~beta, product(twists, n), beta]), g.braid))
     for i in range(len(twists)):

@@ -480,3 +480,64 @@ def test_a_built_form_leaves_the_letters_unspelled():
     assert q.length == 455_230
     assert q.form.strands == 37
     assert "letters" not in q.__dict__
+
+
+def test_double_inverse_is_the_braid_itself():
+    w = braid(3, (1, 2))
+    built = w * braid(3, (-1,))
+    for b in (w, built, empty_braid(3)):
+        assert ~~b is b
+    assert ~~~built is not built and (~~~built).parts == ((built, -1),)
+
+
+@st.composite
+def shared_end_pairs(draw):
+    """Braids x = P X S and y = P' Y S', built from one pool of parts.
+
+    The ends are (part, sign) lists; y's ends are x's, except that one end
+    part may have its sign flipped, which must not cancel.  A sign -1 is
+    built as a fresh ``~part``.  The middles may be empty, the same, a
+    fresh word with the same letters, or unrelated.
+    """
+    n = draw(st.integers(2, 6))
+    gens = st.sampled_from([s for s in range(-(n - 1), n) if s != 0])
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        b = braid(n, draw(st.lists(gens, min_size=1, max_size=5)))
+        if pool and draw(st.booleans()):  # a built part, so spelling its letters would show
+            b = product([b, pool[draw(st.integers(0, len(pool) - 1))]])
+        pool.append(b)
+    parts = st.tuples(st.sampled_from(pool), st.sampled_from([1, -1]))
+
+    def build(spine):
+        return product([p if s > 0 else ~p for p, s in spine], n)
+
+    head = draw(st.lists(parts, max_size=3))
+    tail = draw(st.lists(parts, max_size=3))
+    x_mid = draw(st.lists(parts, max_size=3))
+    how = draw(st.sampled_from(["same", "twin", "other"]))
+    if how == "same":
+        y_mid = x_mid
+    elif how == "twin":
+        y_mid = [(braid(n, build(x_mid).letters), 1)] if x_mid else []
+    else:
+        y_mid = draw(st.lists(parts, max_size=3))
+    y_head, y_tail = list(head), list(tail)
+    ends = y_head or y_tail
+    if ends and draw(st.booleans()):  # the same part with the opposite sign
+        k = draw(st.integers(0, len(ends) - 1))
+        ends[k] = (ends[k][0], -ends[k][1])
+    x = build(head + x_mid + tail)
+    y = build(y_head + y_mid + y_tail)
+    return n, pool, x, y
+
+
+@given(shared_end_pairs())
+@settings(max_examples=300, deadline=None)
+def test_braid_equal_cancels_shared_ends_soundly(case):
+    n, pool, x, y = case
+    built = [b for b in pool + [x, y] if b.parts and "letters" not in b.__dict__]
+    verdict = braid_equal(x, y)
+    # cancellation matches parts by identity, so it spells no part's letters
+    assert not [b for b in built if "letters" in b.__dict__]
+    assert verdict == (braid(n, x.letters).form == braid(n, y.letters).form)

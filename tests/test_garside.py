@@ -68,6 +68,23 @@ def test_inverse_matches_normal_form_of_inverse_word(pair):
 
 @settings(max_examples=200, deadline=None)
 @given(word_pairs())
+def test_inverse_matches_the_twisted_complement_formula(pair):
+    # a factor of odd parity is tau of its complement; inverse reads it as
+    # the reversed inverse map
+    n, a, _ = pair
+    x = nf(n, a)
+    k, m = x.power, len(x.factors)
+    old = []
+    for i in range(m, 0, -1):
+        d = garside.complement(x.factors[i - 1])
+        old.append(garside.simple_tau(d) if (k + i) & 1 else d)
+    inv = garside.inverse(x)
+    assert inv == garside.NormalForm(n, -k - m, tuple(old))
+    assert mul(x, inv) == mul(inv, x) == garside.NormalForm(n, 0, ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
 def test_braid_word_carries_its_normal_form(pair):
     n, a, _ = pair
     b = BraidWord(n, tuple(a))

@@ -159,8 +159,9 @@ def test_public_names_are_read_or_test_facing():
     assert not stale, f"TEST_FACING lists names that are not public or already read: {stale}"
 
 
-def _readers(target: tuple[str, str]) -> set[str]:
-    """The ``module.Class.function`` paths in the package that read ``target``."""
+def _scopes_where(match) -> set[str]:
+    """The ``module.Class.function`` paths in the package holding a node that
+    ``match(node, resolve)`` accepts, with ``resolve`` from :func:`_resolver`."""
     found = set()
     scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for module in ORDER:
@@ -168,7 +169,7 @@ def _readers(target: tuple[str, str]) -> set[str]:
         resolve = _resolver(module, tree)
 
         def visit(node: ast.AST, path: str) -> None:
-            if resolve(node) == target:
+            if match(node, resolve):
                 found.add(path)
             for child in ast.iter_child_nodes(node):
                 visit(child, f"{path}.{child.name}" if isinstance(child, scopes) else path)
@@ -177,11 +178,25 @@ def _readers(target: tuple[str, str]) -> set[str]:
     return found
 
 
+def _readers(target: tuple[str, str]) -> set[str]:
+    """The ``module.Class.function`` paths in the package that read ``target``."""
+    return _scopes_where(lambda node, resolve: resolve(node) == target)
+
+
 def test_only_braid_words_normalise_letters():
     # BraidWord.form is the one place letters become a Garside normal form:
     # everything else multiplies and inverts forms, so a block built once
     # is normalised once
     assert _readers(("garside", "normal_form")) == {"braid.BraidWord.form"}
+
+
+def test_only_braid_equal_reads_a_braid_form():
+    # every equality goes through braid_equal, so every one cancels the
+    # parts both braids share; garside's own ``form`` is _Product's method
+    readers = _scopes_where(
+        lambda node, _: isinstance(node, ast.Attribute) and node.attr == "form")
+    readers = {path for path in readers if path.split(".")[0] != "garside"}
+    assert readers == {"braid.BraidWord.form", "braid.braid_equal"}
 
 
 @pytest.mark.parametrize("name", ["product", "inverse"])

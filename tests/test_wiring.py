@@ -56,6 +56,9 @@ def test_partition_validation():
 
 def test_mu_and_upsilon():
     assert permutation_braid_mu((2, 3, 4), 5).letters == (2, 3, 2)
+    # built once per (block, n), so its normal form is read once
+    assert permutation_braid_mu((2, 3, 4), 5) is permutation_braid_mu((2, 3, 4), 5)
+    assert permutation_braid_mu((2, 3, 4), 5) is not permutation_braid_mu((2, 3, 4), 6)
     assert permutation_braid_mu((3,), 5).letters == ()
     assert permutation_braid_mu((1, 2), 5).letters == (1,)
     assert upsilon(B2_EVENTS[0]).letters == (2, 3, 2)
@@ -194,6 +197,18 @@ def test_twist_shape_fails_a_dropped_or_extra_block_twist(extra):
             assert not check.ok
             checked += 1
     assert checked == 6
+
+
+def test_twist_shape_never_normalises_a_conjugated_generator():
+    # the generator and the per-block product are conjugates by one beta,
+    # so braid_equal cancels beta and compares the middles
+    conjugated = 0
+    for g in braid_monodromy(b2_diagram()):
+        assert verify_twist_shape(g, 5).passed
+        if g.conjugator.length:
+            assert "form" not in g.braid.__dict__
+            conjugated += 1
+    assert conjugated == 3
 
 
 def test_twist_shape_empty_braid_vacuous():
