@@ -7,12 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidforge import wiring
 from braidforge.braid import (
-    braid, braid_equal, empty_braid, full_twist, is_pure, linking_pairs, permutation, pure_gen
+    braid,
+    braid_equal,
+    empty_braid,
+    full_twist,
+    is_pure,
+    linking_pairs,
+    permutation,
+    product,
+    pure_gen,
 )
 from braidforge.wiring import (
     WiringDiagram,
     WiringError,
+    _full_twist_on,
     braid_monodromy,
     parse_wiring,
     partition,
@@ -46,6 +56,22 @@ def b2_lines():
     ]
 
 
+def consecutive_partitions(n):
+    """All ordered partitions of [n] into consecutive blocks, as a strategy."""
+
+    def build(cuts):
+        blocks = []
+        start = 1
+        for c in sorted(cuts) + [n]:
+            blocks.append(tuple(range(start, c + 1)))
+            start = c + 1
+        return partition(n, blocks)
+
+    return st.sets(st.integers(1, n - 1), max_size=n - 1).map(
+        lambda cuts: build(list(cuts))
+    )
+
+
 def test_partition_validation():
     with pytest.raises(WiringError):
         partition(4, [(1, 3), (2,), (4,)])
@@ -68,10 +94,18 @@ def test_mu_and_upsilon():
         permutation_braid_mu((1, 3), 5)
 
 
-def test_upsilon_factors_commute():
-    I = partition(6, [(1, 2), (3,), (4, 5, 6)])
-    mus = [permutation_braid_mu(b, 6) for b in I.blocks]
-    assert braid_equal(mus[0] * mus[2], mus[2] * mus[0])
+@given(st.integers(2, 9).flatmap(consecutive_partitions))
+@settings(max_examples=40, deadline=None)
+def test_upsilon_factors_commute(I):
+    # what verify_twist_shape and braid_monodromy take from the partition
+    # alone: the blocks' full twists commute, their product is Upsilon^2,
+    # and Upsilon^2 is pure
+    twists = [_full_twist_on(b, I.n) for b in I.blocks if len(b) > 1]
+    for k, a in enumerate(twists):
+        for b in twists[k + 1:]:
+            assert braid_equal(a * b, b * a)
+    assert braid_equal(product(twists, I.n), upsilon(I) ** 2)
+    assert is_pure(upsilon(I) ** 2)
 
 
 def test_b2_conjugators_letter_for_letter():
@@ -169,18 +203,52 @@ def test_twist_shape_b2():
         assert rep.passed, rep.failures
 
 
-def test_twist_shape_checks_every_block_pair():
+def test_twist_shape_checks_every_block_pair(monkeypatch):
     # five disjoint pairs of lines meet on x = 0: one generator with five
-    # blocks, whose factors must commute pairwise for every order to agree
+    # blocks, whose factors commute because its positions partition 1..n, so
+    # one positions line stands for every pair and only the product is a
+    # braid comparison
     lines = [real_line(s * k, 10 * k) for k in range(1, 6) for s in (1, -1)]
     W = wiring_from_real_lines(lines)
     [g] = [g for g in braid_monodromy(W) if sum(len(b) > 1 for b in g.blocks) == 5]
+    calls = []
+    monkeypatch.setattr(wiring, "braid_equal", lambda a, b: calls.append(1) or braid_equal(a, b))
     rep = verify_twist_shape(g, W.n)
-    names = [c.name for c in rep.checks
-             if c.name == "per-block product" or c.name.startswith("block factors")]
-    assert len(names) == 1 + 10
-    assert "block factors 4, 5 commute" in names
+    names = [c.name for c in rep.checks][-2:]
+    assert names == ["positions form a consecutive partition", "per-block product"]
+    assert len(calls) == 1
     assert rep.passed, rep.failures
+
+    # overlapping, nested and non-interval positions fail the positions line
+    # and build no twist; the nested full twists commute, so no commute check
+    # could see them
+    overlapping = ((1, 2), (2, 3, 4), (5, 6), (7, 8), (9, 10))
+    nested = ((1, 2, 3, 4), (1, 2), (5, 6), (7, 8), (9, 10))
+    interleaved = ((1, 3), (2, 4), (5, 6), (7, 8), (9, 10))
+    outer, inner = _full_twist_on(nested[0], W.n), _full_twist_on(nested[1], W.n)
+    assert braid_equal(outer * inner, inner * outer)
+    for positions in (overlapping, nested, interleaved):
+        calls.clear()
+        checks = {c.name: c for c in verify_twist_shape(replace(g, positions=positions), W.n).checks}
+        assert not checks["positions form a consecutive partition"].ok
+        assert not checks["per-block product"].ok
+        assert not calls
+
+
+def test_twist_shape_fails_a_generator_that_is_not_pure():
+    g = braid_monodromy(b2_diagram())[1]
+    bad = replace(g, braid=g.braid * braid(5, [1]))
+    good_rep, bad_rep = verify_twist_shape(g, 5), verify_twist_shape(bad, 5)
+    assert len(bad_rep.checks) == len(good_rep.checks)
+    [check] = [c for c in bad_rep.checks if c.name == "linking pattern matches V(j)"]
+    assert (check.ok, check.detail) == (False, "braid is not pure")
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_twist_shape_rejects_a_wrong_strand_count(n):
+    g = braid_monodromy(b2_diagram())[1]
+    with pytest.raises(WiringError, match=f"n={n} .* 5 strands"):
+        verify_twist_shape(g, n)
 
 
 @pytest.mark.parametrize("extra", [False, True], ids=["dropped", "extra"])
@@ -277,22 +345,6 @@ def test_parse_wiring_errors():
     for n in (0, -1):
         with pytest.raises(WiringError, match="^line 1: strand count must be positive$"):
             parse_wiring(f"n {n}\nI: 1")
-
-
-def consecutive_partitions(n):
-    """All ordered partitions of [n] into consecutive blocks, as a strategy."""
-
-    def build(cuts):
-        blocks = []
-        start = 1
-        for c in sorted(cuts) + [n]:
-            blocks.append(tuple(range(start, c + 1)))
-            start = c + 1
-        return partition(n, blocks)
-
-    return st.sets(st.integers(1, n - 1), max_size=n - 1).map(
-        lambda cuts: build(list(cuts))
-    )
 
 
 @given(st.integers(3, 7), st.data())
