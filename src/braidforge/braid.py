@@ -359,16 +359,17 @@ def linking_pairs(b: BraidWord) -> dict[tuple[int, int], int]:
     return {pair: v // 2 for pair, v in sorted(counts.items()) if v}
 
 
-def _pure_rel_rhs(i: int, j: int, k: int, l: int, n: int) -> BraidWord:
+def _pure_rel_rhs(i: int, j: int, k: int, l: int, n: int) -> tuple[str, BraidWord]:
+    """The case of A_{i,j}^-1 A_{k,l} A_{i,j} and the braid it equals."""
     A = lambda a, b: pure_gen(a, b, n)
     if k == i or k == j:
-        c = A(i, l) * A(j, l)
+        case, c = ("k=i" if k == i else "k=j"), A(i, l) * A(j, l)
     elif i < k < j:
         ail, ajl = A(i, l), A(j, l)
-        c = ail * ajl * ~ail * ~ajl
+        case, c = "i<k<j", ail * ajl * ~ail * ~ajl
     else:
-        return A(k, l)
-    return c * A(k, l) * ~c
+        return "otherwise", A(k, l)
+    return case, c * A(k, l) * ~c
 
 
 def verify_braid_relations(n: int) -> Report:
@@ -397,16 +398,10 @@ def verify_pure_braid_relations(n: int) -> Report:
             conj = pure_gen(i, j, n)
             for l in range(j + 1, n + 1):
                 for k in range(1, l):
-                    if k == i or k == j:
-                        case = "k=i" if k == i else "k=j"
-                    elif i < k < j:
-                        case = "i<k<j"
-                    else:
-                        case = "otherwise"
                     lhs = ~conj * pure_gen(k, l, n) * conj
+                    case, rhs = _pure_rel_rhs(i, j, k, l, n)
                     report.add(
-                        f"A[{i},{j}]^-1 A[{k},{l}] A[{i},{j}] ({case})",
-                        braid_equal(lhs, _pure_rel_rhs(i, j, k, l, n)),
+                        f"A[{i},{j}]^-1 A[{k},{l}] A[{i},{j}] ({case})", braid_equal(lhs, rhs)
                     )
     return report
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import arrangements as arr
 from . import liealg
@@ -88,7 +87,7 @@ def _parse_lines_file(text: str):
         if len(parts) != 2:
             raise CliError(f"line {lineno}: expected 'slope intercept'")
         try:
-            lines.append(real_line(Fraction(parts[0]), Fraction(parts[1])))
+            lines.append(real_line(parts[0], parts[1]))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"line {lineno}: bad rational ({exc})") from exc
     return lines

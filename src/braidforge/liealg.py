@@ -351,28 +351,54 @@ def graded_ranks(
     """Graded ranks of the holonomy Lie algebra, degrees 1..max_degree.
 
     ``method`` selects the computation: "elimination" applies the ideal
-    recurrence with exact sparse elimination (guarded by the ambient Lyndon
-    dimension), "tower" uses the certified level decomposition, and "auto"
-    picks elimination when it fits and the tower path otherwise.
+    recurrence with exact sparse elimination, "tower" uses the certified
+    level decomposition, and "auto" picks elimination when it fits and the
+    tower path otherwise.  The decision is made once, in this order: the
+    reach, the highest degree whose ambient Lyndon dimensions all fit
+    ``elimination_limit``, is computed; elimination runs when asked for, or
+    under "auto" when the reach is ``max_degree``, and raises when the reach
+    falls short; otherwise the tower path needs the level and flat data,
+    certifies it, and runs elimination through the reach as a canary.
     """
     if max_degree < 1:
         raise LieError("need max_degree >= 1")
     if method not in ("auto", "elimination", "tower"):
         raise LieError(f"unknown method {method!r}")
-    if method == "auto":
-        if _elimination_reach(pres.d, max_degree, elimination_limit) == max_degree:
-            method = "elimination"
-        elif pres.levels is not None and pres.flats is not None:
-            method = "tower"
-        else:
+    d = pres.d
+    reach = _elimination_reach(d, max_degree, elimination_limit)
+    if method == "elimination" or (method == "auto" and reach == max_degree):
+        if reach < max_degree:
+            raise LieError(
+                f"degree {reach + 1} ambient dimension {witt_rank(d, reach + 1)} exceeds "
+                f"the elimination limit {elimination_limit}; use the tower method or "
+                "raise the limit"
+            )
+        return _elimination_ranks(pres, max_degree)
+    if pres.levels is None or pres.flats is None:
+        if method == "auto":
             raise LieError(
                 "presentation too large for exact elimination "
                 f"(ambient dimension exceeds {elimination_limit}) and carries "
                 "no level structure for the certified path"
             )
-    if method == "elimination":
-        return _elimination_ranks(pres, max_degree, elimination_limit)
-    return _tower_ranks(pres, max_degree, elimination_limit)
+        raise LieError("tower method needs level and flat data")
+    _certify_tower(pres)
+    level_sizes: dict[int, int] = {}
+    for lv in pres.levels:
+        level_sizes[lv] = level_sizes.get(lv, 0) + 1
+    ranks = [
+        sum(witt_rank(d_j, k) for d_j in level_sizes.values())
+        for k in range(1, max_degree + 1)
+    ]
+    # internal canary: the elimination oracle must agree wherever it is cheap
+    if reach >= 2:
+        elim = _elimination_ranks(pres, reach)
+        if elim != ranks[:reach]:
+            raise LieError(
+                "internal inconsistency: certified ranks disagree with "
+                f"elimination through degree {reach}: {ranks[:reach]} vs {elim}"
+            )
+    return ranks
 
 
 def _elimination_reach(d: int, max_degree: int, limit: int) -> int:
@@ -396,7 +422,7 @@ def _word_code(w: tuple[int, ...], d: int) -> int:
     return -value
 
 
-def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) -> list[int]:
+def _elimination_ranks(pres: HolonomyPresentation, max_degree: int) -> list[int]:
     """The ideal recurrence I_{k+1} = [L_1, I_k] on integer-coded Lyndon words.
 
     Rows are keyed by ``_word_code``, so each pivot leads with its lex-largest
@@ -410,12 +436,6 @@ def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) 
     generator are kept in one table, dropped when g is done.
     """
     d = pres.d
-    reach = _elimination_reach(d, max_degree, limit)
-    if reach < max_degree:
-        raise LieError(
-            f"degree {reach + 1} ambient dimension {witt_rank(d, reach + 1)} exceeds "
-            f"the elimination limit {limit}; use the tower method or raise the limit"
-        )
     word_of: dict[int, tuple[int, ...]] = {}
 
     def coded(items: Iterable) -> dict[int, int]:
@@ -451,29 +471,6 @@ def _elimination_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) 
 
 
 # -- certified tower path ----------------------------------------------------
-
-
-def _tower_ranks(pres: HolonomyPresentation, max_degree: int, limit: int) -> list[int]:
-    if pres.levels is None or pres.flats is None:
-        raise LieError("tower method needs level and flat data")
-    _certify_tower(pres)
-    level_sizes: dict[int, int] = {}
-    for lv in pres.levels:
-        level_sizes[lv] = level_sizes.get(lv, 0) + 1
-    ranks = [
-        sum(witt_rank(d_j, k) for d_j in level_sizes.values())
-        for k in range(1, max_degree + 1)
-    ]
-    # internal canary: the elimination oracle must agree wherever it is cheap
-    check_to = _elimination_reach(pres.d, max_degree, limit)
-    if check_to >= 2:
-        elim = _elimination_ranks(pres, check_to, limit)
-        if elim != ranks[:check_to]:
-            raise LieError(
-                "internal inconsistency: certified ranks disagree with "
-                f"elimination through degree {check_to}: {ranks[:check_to]} vs {elim}"
-            )
-    return ranks
 
 
 def _certify_tower(pres: HolonomyPresentation) -> None:

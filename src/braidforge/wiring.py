@@ -178,7 +178,8 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
 
     (a) its linking matrix is 1 exactly on pairs inside a common block;
     (b) each generator image reduces to w t_s w^-1 where abelianize(w) lies
-        in the lattice spanned by the block's characteristic vector and e_s;
+        in the lattice spanned by the block's characteristic vector and e_s
+        (a strand in no block of ``g.blocks`` fails);
     (c) ``g.positions`` form a consecutive partition of 1..n, so the full
         twists on their blocks are words in s_i at least 2 apart and commute
         by far commutation: the per-block product is the same in every order;
@@ -203,20 +204,19 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         try:
             w, core = peel_conjugate(img)
         except WordError:
-            report.add(f"image of t{s} is a conjugate of t{s}", False, str(img))
-            continue
+            core = None
         if core != s:
             report.add(f"image of t{s} is a conjugate of t{s}", False, str(img))
             continue
-        block = by_strand[s]
+        block = by_strand.get(s)
+        check = f"conjugator of t{s} abelianizes into span(block, e{s})"
+        if block is None:
+            report.add(check, False, f"strand {s} lies in no block")
+            continue
         ab = abelianize(w)
         inside = {ab[k - 1] for k in block if k != s}
         outside_ok = all(ab[k - 1] == 0 for k in range(1, n + 1) if k not in block)
-        report.add(
-            f"conjugator of t{s} abelianizes into span(block, e{s})",
-            outside_ok and len(inside) <= 1,
-            f"block={block} ab={ab}",
-        )
+        report.add(check, outside_ok and len(inside) <= 1, f"block={block} ab={ab}")
 
     try:
         ConsecutivePartition(n, tuple(sorted(g.positions)))
@@ -287,9 +287,14 @@ def wiring_from_real_lines(lines: list[RealLine]) -> WiringDiagram:
 
 
 def parse_wiring(text: str) -> WiringDiagram:
-    """Parse the line-oriented wiring format described in README, "File formats"."""
+    """Parse the line-oriented wiring format described in README, "File formats".
+
+    Lines are read once, in order, and each is checked as it is read, so a
+    malformed file is reported at its first bad line.
+    """
     n: int | None = None
-    items: list[tuple[str, str, int]] = []
+    events: list[tuple[ConsecutivePartition, BraidWord]] = []
+    current: ConsecutivePartition | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -305,19 +310,8 @@ def parse_wiring(text: str) -> WiringDiagram:
             if n < 1:
                 raise WiringError(f"line {lineno}: strand count must be positive")
             continue
-        if line.startswith("I:"):
-            items.append(("I", line[2:].strip(), lineno))
-        elif line.startswith("B:"):
-            items.append(("B", line[2:].strip(), lineno))
-        else:
-            raise WiringError(f"line {lineno}: expected 'I:' or 'B:' line")
-    if n is None:
-        raise WiringError("missing 'n <int>' header")
-
-    events: list[tuple[ConsecutivePartition, BraidWord]] = []
-    current: ConsecutivePartition | None = None
-    for kind, body, lineno in items:
-        if kind == "I":
+        kind, body = line[:2], line[2:].strip()
+        if kind == "I:":
             if current is not None:
                 events.append((current, empty_braid(n)))
             blocks = []
@@ -333,7 +327,7 @@ def parse_wiring(text: str) -> WiringDiagram:
                 current = ConsecutivePartition(n, tuple(blocks))
             except WiringError as exc:
                 raise WiringError(f"line {lineno}: {exc}") from exc
-        else:
+        elif kind == "B:":
             if current is None and events:
                 raise WiringError(f"line {lineno}: partition has a second 'B:' line")
             if current is None:
@@ -344,6 +338,10 @@ def parse_wiring(text: str) -> WiringDiagram:
                 raise WiringError(f"line {lineno}: {exc}") from exc
             events.append((current, b))
             current = None
+        else:
+            raise WiringError(f"line {lineno}: expected 'I:' or 'B:' line")
+    if n is None:
+        raise WiringError("missing 'n <int>' header")
     if current is not None:
         events.append((current, empty_braid(n)))
     if not events:

@@ -249,3 +249,17 @@ def test_one_reader_each_for_the_strand_permutation():
     # labels once and keeps both on the generator, so no suite reads the
     # permutation again
     assert _readers(("braid", "permutation")) == {"braid.is_pure", "wiring.braid_monodromy"}
+
+
+def test_graded_ranks_alone_decides_the_elimination_reach():
+    # the reach and the method are chosen once, in graded_ranks; the tower
+    # canary and the elimination path take the reach from there
+    for name in ("_elimination_reach", "_elimination_ranks"):
+        assert _readers(("liealg", name)) == {"liealg.graded_ranks"}, name
+
+
+def test_monomial_takes_purity_from_the_linking_numbers():
+    # linking_pairs raises for a braid that is not pure, so the free-factor
+    # suite does not walk each generator's letters a second time
+    readers = _readers(("braid", "is_pure"))
+    assert not {path for path in readers if path.split(".")[0] == "monomial"}, readers

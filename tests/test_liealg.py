@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -265,22 +266,49 @@ def test_elimination_agrees_with_tower_where_both_run():
     assert elim == tower
 
 
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 def test_elimination_guard():
+    # 12 generators: 66 Lyndon words in degree 2 and 572 in degree 3
     hp = holonomy_relations_from_flats(monomial_flats(3, 3), monomial_hyperplanes(3, 3))
-    with pytest.raises(LieError):
+    with pytest.raises(LieError, match=_exactly(
+        "degree 3 ambient dimension 572 exceeds the elimination limit 260; "
+        "use the tower method or raise the limit"
+    )):
         graded_ranks(hp, 5, method="elimination")
 
 
 def test_tower_needs_structure():
     pres = HolonomyPresentation(3, ("a", "b", "c"), ())
-    with pytest.raises(LieError):
+    with pytest.raises(LieError, match=_exactly("tower method needs level and flat data")):
         graded_ranks(pres, 3, method="tower")
 
 
 def test_auto_without_structure_raises_when_too_big():
     pres = HolonomyPresentation(13, tuple(f"g{i}" for i in range(13)), ())
-    with pytest.raises(LieError):
+    with pytest.raises(LieError, match=_exactly(
+        "presentation too large for exact elimination (ambient dimension exceeds 100) "
+        "and carries no level structure for the certified path"
+    )):
         graded_ranks(pres, 5, elimination_limit=100)
+
+
+def test_tower_canary_runs_elimination_once_through_the_reach(monkeypatch):
+    # monomial (2,3) has 9 generators and 36, 240, 1620 Lyndon words in
+    # degrees 2-4, so at the default limit elimination reaches degree 3
+    degrees = []
+
+    def wrong(pres, max_degree, *rest):
+        degrees.append(max_degree)
+        return [0] * max_degree
+
+    monkeypatch.setattr(liealg, "_elimination_ranks", wrong)
+    hp = holonomy_relations_from_flats(monomial_flats(2, 3), monomial_hyperplanes(2, 3))
+    with pytest.raises(LieError, match=r"^internal inconsistency: .* through degree 3: "):
+        graded_ranks(hp, 5)
+    assert degrees == [3]
 
 
 def test_tower_certificate_rejects_corruption():

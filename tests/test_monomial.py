@@ -192,6 +192,19 @@ def test_generators_free_factor(r, n):
     assert rep.passed, rep.failures
 
 
+def test_generators_free_factor_fails_a_generator_that_is_not_pure(monkeypatch):
+    # purity is read from linking_pairs: a braid that is not pure gets a FAIL
+    # line and no linking line, and its missing vector drops the rank
+    prm = MonomialParams(2, 3)
+    monkeypatch.setattr(monomial, "Z", lambda j, prm: braid.braid(prm.strands, (1,)))
+    rep = verify_generators_free_factor(prm)
+    checks = {c.name: c.ok for c in rep.checks}
+    assert checks["Z[3] is pure"] is False
+    assert "Z[3] linking pattern" not in checks
+    assert checks["linking vectors independent (rank 5)"] is False
+    assert all(ok for name, ok in checks.items() if name.startswith("A["))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pbn_correspondence_r2(n):
     rep = verify_pbn_correspondence(n)

@@ -244,6 +244,18 @@ def test_twist_shape_fails_a_generator_that_is_not_pure():
     assert (check.ok, check.detail) == (False, "braid is not pure")
 
 
+def test_twist_shape_fails_a_strand_in_no_block():
+    # blocks that miss strand 3 fail its conjugator line instead of raising
+    g = braid_monodromy(b2_diagram())[1]
+    assert g.index == 2
+    bad = replace(g, blocks=((1, 4), (2, 5)))
+    good_rep, bad_rep = verify_twist_shape(g, 5), verify_twist_shape(bad, 5)
+    assert [c.name for c in bad_rep.checks] == [c.name for c in good_rep.checks]
+    name = "conjugator of t3 abelianizes into span(block, e3)"
+    [check] = [c for c in bad_rep.checks if c.name == name]
+    assert (check.ok, check.detail) == (False, "strand 3 lies in no block")
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_twist_shape_rejects_a_wrong_strand_count(n):
     g = braid_monodromy(b2_diagram())[1]
@@ -345,6 +357,11 @@ def test_parse_wiring_errors():
     for n in (0, -1):
         with pytest.raises(WiringError, match="^line 1: strand count must be positive$"):
             parse_wiring(f"n {n}\nI: 1")
+    # two faults: the first malformed line is the one reported
+    with pytest.raises(
+        WiringError, match=r"^line 2: blocks not consecutive/ordered: \(\(1, 3\), \(2,\)\)$"
+    ):
+        parse_wiring("n 3\nI: 1 3 | 2\nfoo")
 
 
 @given(st.integers(3, 7), st.data())
