@@ -21,7 +21,7 @@ from .braid import (
     verify_pure_braid_relations,
 )
 from .report import Report
-from .wiring import braid_monodromy, parse_wiring, real_line, wiring_from_real_lines
+from .wiring import braid_monodromy, content_lines, parse_wiring, real_line, wiring_from_real_lines
 
 MAX_R = 6
 MAX_N = 6
@@ -79,10 +79,7 @@ def _cmd_monodromy(args, out) -> int:
 
 def _parse_lines_file(text: str):
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(text):
         parts = body.split()
         if len(parts) != 2:
             raise CliError(f"line {lineno}: expected 'slope intercept'")
@@ -141,10 +138,7 @@ def _cmd_present(args, out) -> int:
 def _parse_flats_file(text: str) -> liealg.HolonomyPresentation:
     gens: list[str] = []
     flats: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(text):
         if body.startswith("gens:"):
             if gens:
                 raise CliError(f"line {lineno}: second 'gens:' header")
@@ -152,10 +146,7 @@ def _parse_flats_file(text: str) -> liealg.HolonomyPresentation:
             if not gens:
                 raise CliError(f"line {lineno}: empty 'gens:' header")
             continue
-        if body.startswith("flat:"):
-            members = tuple(body[5:].split())
-        else:
-            members = tuple(body.split())
+        members = tuple(body.removeprefix("flat:").split())
         if len(members) < 2:
             raise CliError(f"line {lineno}: a flat needs at least two members")
         flats.append(members)
@@ -192,7 +183,7 @@ def _int_list(option: str, text: str, form: str, valid) -> list[int]:
 
 def _cmd_lie(args, out) -> int:
     _guard("max-degree", args.max_degree, MAX_DEGREE)
-    exps = ranks = None
+    pres = exps = None
     if args.exponents is not None:
         exps = _int_list("exponents", args.exponents, "d1,d2,... (positive integers)",
                          lambda v: min(v) >= 1)
@@ -204,26 +195,18 @@ def _cmd_lie(args, out) -> int:
         pres = liealg.holonomy_relations_from_flats(
             arr.monomial_flats(r, n), arr.monomial_hyperplanes(r, n)
         )
-        ranks = liealg.graded_ranks(pres, args.max_degree)
         if exps is None:
             exps = arr.exponents(r, n)
     elif args.flats:
         pres = _parse_flats_file(_read_file(args.flats))
-        ranks = liealg.graded_ranks(pres, args.max_degree)
     elif exps is None:
         raise CliError("lie needs one of --exponents, --monomial, or --flats")
-    expected = None
-    if exps is not None:
-        expected = [
-            sum(liealg.witt_rank(d, k) for d in exps) for k in range(1, args.max_degree + 1)
-        ]
-    if ranks is None:
-        # no presentation: print the Witt sums, but compare nothing
-        cells = [(e, e, "-") for e in expected]
-    elif expected is None:
-        cells = [(rank, "-", "-") for rank in ranks]
-    else:
-        cells = [(rank, e, "yes" if rank == e else "NO") for rank, e in zip(ranks, expected)]
+    # with no presentation the rank column shows the Witt sums and compares nothing
+    expected = ["-"] * args.max_degree if exps is None else liealg.witt_sums(exps, args.max_degree)
+    ranks = expected if pres is None else liealg.graded_ranks(pres, args.max_degree)
+    compare = pres is not None and exps is not None
+    cells = [(rank, e, ("yes" if rank == e else "NO") if compare else "-")
+             for rank, e in zip(ranks, expected)]
     out.write(_rank_table(cells, args.format))
     bad = [k for k, cell in enumerate(cells, start=1) if cell[2] == "NO"]
     for k in bad:

@@ -145,9 +145,6 @@ class Endomorphism:
             if img.rank != self.rank:
                 raise WordError("image rank mismatch")
 
-    def __call__(self, u: Word) -> Word:
-        return apply(self, u)
-
 
 def identity(rank: int) -> Endomorphism:
     return Endomorphism(rank, tuple(Word(rank, (i,)) for i in range(1, rank + 1)))

@@ -41,6 +41,7 @@ __all__ = [
     "LieElement",
     "HolonomyPresentation",
     "witt_rank",
+    "witt_sums",
     "lyndon_words",
     "standard_factorization",
     "bracket",
@@ -86,6 +87,11 @@ def witt_rank(d: int, k: int) -> int:
         if k % m == 0:
             total += _mobius(m) * d ** (k // m)
     return total // k
+
+
+def witt_sums(sizes: Sequence[int], max_degree: int) -> list[int]:
+    """Degree 1..max_degree ranks of a direct sum of free Lie algebras on ``sizes`` generators."""
+    return [sum(witt_rank(d, k) for d in sizes) for k in range(1, max_degree + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -237,6 +243,8 @@ class HolonomyPresentation:
     flats: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise LieError("a holonomy presentation needs at least one generator")
         if len(self.labels) != self.d:
             raise LieError("label count disagrees with generator count")
         for rel in self.relations:
@@ -383,13 +391,7 @@ def graded_ranks(
             )
         raise LieError("tower method needs level and flat data")
     _certify_tower(pres)
-    level_sizes: dict[int, int] = {}
-    for lv in pres.levels:
-        level_sizes[lv] = level_sizes.get(lv, 0) + 1
-    ranks = [
-        sum(witt_rank(d_j, k) for d_j in level_sizes.values())
-        for k in range(1, max_degree + 1)
-    ]
+    ranks = witt_sums([pres.levels.count(lv) for lv in set(pres.levels)], max_degree)
     # internal canary: the elimination oracle must agree wherever it is cheap
     if reach >= 2:
         elim = _elimination_ranks(pres, reach)

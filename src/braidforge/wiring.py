@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
+from typing import Iterator
 
 from .braid import (
     BraidWord,
@@ -47,6 +48,7 @@ __all__ = [
     "braid_monodromy",
     "verify_twist_shape",
     "wiring_from_real_lines",
+    "content_lines",
     "parse_wiring",
 ]
 
@@ -286,6 +288,19 @@ def wiring_from_real_lines(lines: list[RealLine]) -> WiringDiagram:
     return WiringDiagram(n, tuple(events))
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, body)`` for each line of ``text`` with text before its ``#``.
+
+    This is the line syntax that wiring, lines and flats files share: ``#``
+    starts a comment, blank lines are skipped, ``body`` is stripped, and
+    ``lineno`` counts every line from 1, so errors can name it.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
+
+
 def parse_wiring(text: str) -> WiringDiagram:
     """Parse the line-oriented wiring format described in README, "File formats".
 
@@ -295,10 +310,7 @@ def parse_wiring(text: str) -> WiringDiagram:
     n: int | None = None
     events: list[tuple[ConsecutivePartition, BraidWord]] = []
     current: ConsecutivePartition | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if n is None:
             head = line.split()
             if len(head) != 2 or head[0] != "n":

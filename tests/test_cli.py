@@ -43,6 +43,12 @@ def test_lines_file_errors(tmp_path):
     assert "error" in out
     code, out = run_cli("lines", str(tmp_path / "missing.lines"))
     assert code == 2
+    for text, message in (
+        ("1 2 3\n", "line 1: expected 'slope intercept'"),
+        ("1 x\n", "line 1: bad rational (Invalid literal for Fraction: 'x')"),
+    ):
+        bad.write_text(text)
+        assert run_cli("lines", str(bad)) == (2, f"error: {message}\n")
 
 
 def test_typeb_verify():
@@ -192,6 +198,12 @@ def test_lie_flats_file(tmp_path):
     )
     assert code == 0
     assert out.splitlines()[1].split() == ["1", "3", "3", "yes"]
+    # without exponents there is nothing to compare against
+    code, out = run_cli("lie", "--flats", str(flats), "--max-degree", "3")
+    assert code == 0
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["1", "3", "-", "-"], ["2", "1", "-", "-"], ["3", "2", "-", "-"],
+    ]
 
 
 @pytest.mark.parametrize(
@@ -409,8 +421,10 @@ def test_monodromy_names_an_out_of_range_braid_letter(tmp_path):
     [
         ("n 3\nI: 1 2\n", "line 2: blocks do not cover [1,3]: ((1, 2),)"),
         ("n 3\nI: 1 2 3\nI: 1 3 | 2\n", "line 3: blocks not consecutive/ordered: ((1, 3), (2,))"),
+        ("n 3\nI: 1 | | 2 3\n", "line 2: empty block in partition"),
+        ("n 3\nI: 1 x | 2 3\n", "line 2: bad block entry"),
     ],
-    ids=["uncovered", "out-of-order"],
+    ids=["uncovered", "out-of-order", "empty-block", "bad-entry"],
 )
 def test_monodromy_names_the_line_of_a_bad_partition(tmp_path, text, message):
     bad = tmp_path / "bad.wd"
@@ -418,6 +432,31 @@ def test_monodromy_names_the_line_of_a_bad_partition(tmp_path, text, message):
     code, out = run_cli("monodromy", str(bad))
     assert code == 2
     assert out == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n x\n", "line 1: bad strand count"),
+        ("n 3\nI: 1 | 2 | 3\nQ: 1\n", "line 3: expected 'I:' or 'B:' line"),
+        ("# only a comment\n", "missing 'n <int>' header"),
+    ],
+    ids=["strand-count", "line-kind", "no-header"],
+)
+def test_monodromy_names_a_malformed_line(tmp_path, text, message):
+    bad = tmp_path / "bad.wd"
+    bad.write_text(text)
+    assert run_cli("monodromy", str(bad)) == (2, f"error: {message}\n")
+
+
+def test_monodromy_closes_a_last_partition_with_the_empty_braid(tmp_path):
+    # a file may end on an 'I:' line; its event reads no braid after it
+    path = tmp_path / "open.wd"
+    path.write_text("n 3\nI: 1 2 | 3\n")
+    code, out = run_cli("monodromy", str(path))
+    assert code == 0
+    assert out.count("generator") == 1
+    assert "gamma: 1 1\n" in out and "V: 1 2 | 3\n" in out
 
 
 def _seeded_wiring_text(seed):

@@ -258,6 +258,26 @@ def test_graded_ranks_alone_decides_the_elimination_reach():
         assert _readers(("liealg", name)) == {"liealg.graded_ranks"}, name
 
 
+def test_one_reader_of_the_input_line_syntax():
+    # comments, blank lines and line numbers are decided in content_lines;
+    # the three file readers take their lines from it
+    assert _scopes_where(lambda node, _: (
+        isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    )) == {"wiring.content_lines"}
+    assert _scopes_where(lambda node, _: (
+        isinstance(node, ast.Constant) and node.value == "#"
+    )) == {"wiring.content_lines"}
+    assert _readers(("wiring", "content_lines")) == {
+        "wiring.parse_wiring", "cli._parse_lines_file", "cli._parse_flats_file"}
+
+
+def test_lie_takes_its_witt_sums_from_liealg():
+    # the expected column and the certified ranks share liealg.witt_sums
+    readers = _readers(("liealg", "witt_rank"))
+    assert not {path for path in readers if path.split(".")[0] == "cli"}, readers
+    assert {"cli._cmd_lie", "liealg.graded_ranks"} <= _readers(("liealg", "witt_sums"))
+
+
 def test_monomial_takes_purity_from_the_linking_numbers():
     # linking_pairs raises for a braid that is not pure, so the free-factor
     # suite does not walk each generator's letters a second time

@@ -38,6 +38,7 @@ def test_witt_values():
     assert witt_rank(1, 1) == 1
     assert all(witt_rank(1, k) == 0 for k in range(2, 9))
     assert [witt_rank(3, k) for k in range(1, 6)] == [3, 3, 8, 18, 48]
+    assert liealg.witt_sums([1, 3], 4) == [4, 3, 8, 18]
 
 
 def test_necklace_identity():
@@ -278,6 +279,22 @@ def test_elimination_guard():
         "use the tower method or raise the limit"
     )):
         graded_ranks(hp, 5, method="elimination")
+
+
+def test_graded_ranks_rejects_a_bad_degree_or_method():
+    pres = HolonomyPresentation(3, ("a", "b", "c"), ())
+    with pytest.raises(LieError, match=_exactly("need max_degree >= 1")):
+        graded_ranks(pres, 0)
+    with pytest.raises(LieError, match=_exactly("unknown method 'foo'")):
+        graded_ranks(pres, 3, method="foo")
+
+
+def test_presentation_needs_a_generator():
+    # refused at construction, not later inside a Witt count
+    with pytest.raises(LieError, match=_exactly(
+        "a holonomy presentation needs at least one generator"
+    )):
+        HolonomyPresentation(0, (), ())
 
 
 def test_tower_needs_structure():
