@@ -20,12 +20,13 @@ Artin representation is kept for the places that print or
 inspect free-group images, and as an independent oracle in the tests.
 :func:`artin` reads a word right to left: prefixing one letter to a word
 whose action is already known rewrites only the images of the two
-generators that letter moves, so each letter costs two images rather than
-n, and reduction happens only at the joins of reduced words.  While it
-works, :func:`artin` holds each image as ``bytes``, one signed byte per
-letter, so inverting an image is a slice and finding how far two images
-cancel is one integer XOR; this bounds it at 127 strands (the CLI's guard
-needs at most 37).  Outside :func:`artin` every image is a :class:`Word`.
+generators that letter moves.  Each image is held as a conjugate
+c t_z c^-1 with c not ending in t_z^{+-1}, so a letter costs one
+:func:`_join` of reduced words.  While it works, :func:`artin` holds each
+image as ``bytes``, one signed byte per letter, so inverting an image is a
+slice and finding how far two words cancel is one integer XOR; this bounds
+it at 127 strands (the CLI's guard needs at most 37).  Outside
+:func:`artin` every image is a :class:`Word`.
 A normal form holds one byte per strand position, so
 :attr:`BraidWord.form` takes at most 256 strands.
 
@@ -188,18 +189,20 @@ def product(braids: Sequence[BraidWord], n: int | None = None) -> BraidWord:
 # one shared int object per letter value.
 _NEG = bytes(-c % 256 for c in range(256))
 _LETTER = tuple(c - 256 if c > 127 else c for c in range(256))
+_CORE = tuple(bytes((c, -c % 256)) for c in range(256))  # the letters t_z^{+-1} of core byte c
 
 
 def _join(x: bytes, y: bytes) -> bytes:
-    """The reduced word x y from nonempty reduced byte words x and y.
+    """The reduced word x y from reduced byte words x and y, x nonempty.
 
+    y may be empty: in :func:`artin` it is an image's conjugator half.
     x's last k letters cancel y's first k exactly when x ends with the
     inverse of y[:k].  XOR the last m bytes of x with the inverse of y[:m]
     as big-endian integers: a cancelling letter is a zero byte at the low
     end, so k is the number of trailing zero bytes, and all m when the XOR
     is 0.
     """
-    if x[-1] != _NEG[y[0]]:
+    if not y or x[-1] != _NEG[y[0]]:
         return x + y
     m = min(len(x), len(y))
     d = int.from_bytes(x[-m:], "big") ^ int.from_bytes(y[:m][::-1].translate(_NEG), "big")
@@ -215,12 +218,14 @@ def artin(b: BraidWord) -> Endomorphism:
     action of the suffix already read, sigma_i sets
     psi(t_i) <- psi(t_i) psi(t_{i+1}) psi(t_i)^-1 and psi(t_{i+1}) <- psi(t_i),
     and sigma_i^-1 sets psi(t_i) <- psi(t_{i+1}) and
-    psi(t_{i+1}) <- psi(t_{i+1})^-1 psi(t_i) psi(t_{i+1}).  So each letter
-    rewrites two images, and the reduced images cancel only where they join.
-    While they are built, the images are ``bytes`` with one signed byte per
-    letter, so inversion and cancellation run in C (see :func:`_join`); that
-    bounds the strand count at 127.  Each image is decoded to a ``Word``
-    once, at the end.
+    psi(t_{i+1}) <- psi(t_{i+1})^-1 psi(t_i) psi(t_{i+1}).  Every image is a
+    conjugate c t_z c^-1 (Artin 1925), held reduced as c + z + c^-1 with c
+    not ending in t_z^{+-1}; so sigma_i sets psi(t_i) to the conjugate of z
+    by u c (u = psi(t_i), c t_z c^-1 = psi(t_{i+1})), sigma_i^-1 likewise:
+    one :func:`_join` per letter, whose trailing t_z^{+-1} letters commute
+    with t_z and are stripped, so w + z + w^-1 is reduced.  The images are
+    ``bytes``, one signed byte per letter, so all of this runs in C; that
+    bounds the strand count at 127.  Each image is decoded once, at the end.
     """
     n = b.strands
     if n > 127:
@@ -230,9 +235,13 @@ def artin(b: BraidWord) -> Endomorphism:
         i = abs(gen) - 1
         u, v = images[i], images[i + 1]
         if gen > 0:
-            images[i], images[i + 1] = _join(_join(u, v), u[::-1].translate(_NEG)), u
+            h = len(v) >> 1
+            w = _join(u, v[:h]).rstrip(_CORE[v[h]])
+            images[i], images[i + 1] = w + v[h:h + 1] + w[::-1].translate(_NEG), u
         else:
-            images[i], images[i + 1] = v, _join(_join(v[::-1].translate(_NEG), u), v)
+            h = len(u) >> 1
+            w = _join(v[::-1].translate(_NEG), u[:h]).rstrip(_CORE[u[h]])
+            images[i], images[i + 1] = v, w + u[h:h + 1] + w[::-1].translate(_NEG)
     letter = _LETTER.__getitem__
     return Endomorphism(n, tuple(Word(n, tuple(map(letter, img))) for img in images))
 

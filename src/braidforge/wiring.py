@@ -10,7 +10,7 @@ and the global braid monodromy generators are
     gamma(u_j) = beta_j^-1 Upsilon_{I(j)}^2 beta_j,
     beta_1 = 1,  beta_{j+1} = beta_{j,j+1} Upsilon_{I(j)} beta_j.
 
-Real line input is handled with exact rational arithmetic throughout.
+Real line input is exact: rational data, scaled to integers for the events.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
+from math import gcd, lcm
 from typing import Iterator
 
 from .braid import (
@@ -256,31 +257,38 @@ def wiring_from_real_lines(lines: list[RealLine]) -> WiringDiagram:
     x-value form a single event with several nontrivial blocks.  Wires are
     numbered by increasing height at a basepoint right of every event, and
     all interleaving braids are trivial.
+
+    Scaling every slope and intercept by one common denominator L > 0 (the
+    lcm of theirs) moves no intersection and no order of heights, and makes
+    them integers s, b.  Two lines then meet at a reduced x = p/q with
+    q > 0, where the heights s x + b are ordered, ties included, as the
+    integers s p + b q; the events are sorted exactly, by Fraction(p, q).
     """
     if len(lines) < 2:
         raise WiringError("need at least two lines")
     if len(set(lines)) != len(lines):
         raise WiringError("lines must be pairwise distinct")
-    xs: set[Fraction] = set()
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            la, lb = lines[a], lines[b]
-            if la.slope == lb.slope:
-                continue
-            xs.add((lb.intercept - la.intercept) / (la.slope - lb.slope))
+    L = lcm(*(l.slope.denominator for l in lines), *(l.intercept.denominator for l in lines))
+    scaled = [(int(l.slope * L), int(l.intercept * L)) for l in lines]
+    xs: set[tuple[int, int]] = set()
+    for a, (sa, ba) in enumerate(scaled):
+        for sb, bb in scaled[a + 1:]:
+            if sa != sb:  # x = p/q reduced, with the sign of q folded into g
+                p, q = bb - ba, sa - sb
+                g = gcd(p, q) if q > 0 else -gcd(p, q)
+                xs.add((p // g, q // g))
     if not xs:
         raise WiringError("no intersections: parallel lines give no events")
-    events_x = sorted(xs, reverse=True)
 
     n = len(lines)
     events: list[tuple[ConsecutivePartition, BraidWord]] = []
-    for xe in events_x:
-        # Wires meet in the order of their values at x_e, and lines through
+    for p, q in sorted(xs, key=lambda x: Fraction(*x), reverse=True):
+        # Wires meet in the order of their values at p/q, and lines through
         # one point share that value: the runs of equal sorted values are the
         # event's blocks, bottom to top.
         blocks: list[tuple[int, ...]] = []
         pos = 1
-        for _, meeting in groupby(sorted(l.value(xe) for l in lines)):
+        for _, meeting in groupby(sorted(s * p + b * q for s, b in scaled)):
             stop = pos + sum(1 for _ in meeting)
             blocks.append(tuple(range(pos, stop)))
             pos = stop

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidforge import braid as braid_module
 from braidforge.braid import (
     BraidError,
     artin,
@@ -125,6 +126,52 @@ def test_artin_byte_kernel_matches_the_oracles(case):
     else:  # the fold is too slow; the halves come from shorter words
         half = len(letters) // 2
         assert e == compose(artin(braid(n, letters[:half])), artin(braid(n, letters[half:])))
+
+
+def _artin_counting_strips(monkeypatch, n, letters):
+    """artin of the word, and how many joined conjugators ended in their core letter.
+
+    Each letter makes one _join and then reads _CORE at the core of the
+    image it conjugates, in that order, so the two records pair up.
+    """
+    joined, cores = [], []
+    join, core = braid_module._join, braid_module._CORE
+
+    class Cores:
+        def __getitem__(self, c):
+            cores.append(core[c])
+            return core[c]
+
+    monkeypatch.setattr(braid_module, "_join", lambda x, y: joined.append(join(x, y)) or joined[-1])
+    monkeypatch.setattr(braid_module, "_CORE", Cores())
+    e = artin(braid(n, letters))
+    monkeypatch.undo()
+    assert len(joined) == len(cores) == len(letters)
+    return e, sum(1 for w, c in zip(joined, cores) if w and w[-1] in c)
+
+
+def _strip_cases():
+    rng = random.Random(126)
+    delta2 = full_twist(range(1, 5), 4).letters
+    yield from ((2, [x] * k) for x in (1, -1) for k in range(2, 7))
+    yield 4, list(delta2)
+    yield 4, [-x for x in reversed(delta2)]
+    for x in (126, -126):
+        yield 127, [x, x]
+        yield 127, [rng.choice((-1, 1)) * rng.randint(120, 126) for _ in range(12)] + [x]
+
+
+@pytest.mark.parametrize("case", list(_strip_cases()), ids=lambda c: f"{c[0]}:{c[1][-6:]}")
+def test_artin_strips_the_core_letter_off_a_joined_conjugator(monkeypatch, case):
+    # sigma_i sets t_i to (u c) t_z (u c)^-1; when u c ends in t_z^{+-1}
+    # those letters commute with t_z and must go, or the rebuilt image
+    # would not be reduced
+    n, letters = case
+    e, strips = _artin_counting_strips(monkeypatch, n, letters)
+    assert strips
+    assert e == fold_of_letter_images(n, letters)
+    for img in e.images:
+        assert word(n, img.letters) == img  # reduced
 
 
 def test_artin_takes_127_strands_and_no_more():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -479,9 +480,26 @@ def _seeded_lines_text(seed):
     return "".join(f"{s} {c}\n" for s, c in rng.sample(grid, rng.randint(3, 6)))
 
 
+def _seeded_rational_lines_text(seed):
+    # fractional slopes and intercepts with denominators 2..7, signs mixed
+    rng = random.Random(seed)
+    grid = sorted({(Fraction(a, d), Fraction(b, e))
+                   for a in range(-4, 5) for b in range(-4, 5) for d in (2, 3) for e in (2, 5, 7)})
+    return "".join(f"{s} {c}\n" for s, c in rng.sample(grid, rng.randint(6, 9)))
+
+
+_SEEDED_TEXT = {
+    "monodromy": _seeded_wiring_text,
+    "lines": _seeded_lines_text,
+    "lines-rational": _seeded_rational_lines_text,
+}
+
+
 # sha256 prefix of the stdout of `monodromy` and `lines` on seeded inputs,
 # recorded before linking numbers were counted into a sparse map, so the
-# printed linking matrices stay byte-stable
+# printed linking matrices stay byte-stable; the `lines-rational` entry was
+# recorded while the real-line events were still found by Fraction
+# arithmetic, before they were scaled to integers
 MONODROMY_DIGESTS = {
     ("monodromy", 1): "55a6fd7d090f47b0",
     ("monodromy", 2): "29b4b06a28749ba9",
@@ -489,14 +507,14 @@ MONODROMY_DIGESTS = {
     ("lines", 1): "26fdc518f2d0a4b1",
     ("lines", 2): "2fd0c48fefc6bb5d",
     ("lines", 3): "debe04cb74a5fca0",
+    ("lines-rational", 4): "344dce7404b7dcf9",
 }
 
 
 @pytest.mark.parametrize("command,seed", sorted(MONODROMY_DIGESTS))
 def test_monodromy_output_digests(tmp_path, command, seed):
     path = tmp_path / f"seeded.{command}"
-    maker = _seeded_wiring_text if command == "monodromy" else _seeded_lines_text
-    path.write_text(maker(seed))
-    code, out = run_cli(command, str(path))
+    path.write_text(_SEEDED_TEXT[command](seed))
+    code, out = run_cli(command.split("-")[0], str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == MONODROMY_DIGESTS[command, seed]

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -315,6 +316,53 @@ def test_parallel_lines_error():
         wiring_from_real_lines([real_line(1, 0)])
     with pytest.raises(WiringError):
         wiring_from_real_lines([real_line(1, 0), real_line(1, 0)])
+
+
+def fraction_wiring(lines):
+    """The real-line diagram by plain Fraction evaluation at every event."""
+    n = len(lines)
+    xs = {(b.intercept - a.intercept) / (a.slope - b.slope)
+          for k, a in enumerate(lines) for b in lines[k + 1:] if a.slope != b.slope}
+    events = []
+    for x in sorted(xs, reverse=True):
+        sizes = [len(list(run)) for _, run in groupby(sorted(l.value(x) for l in lines))]
+        bounds = [0, *accumulate(sizes)]
+        I = partition(n, [range(a + 1, b + 1) for a, b in zip(bounds, bounds[1:])])
+        events.append((I, empty_braid(n)))
+    return WiringDiagram(n, tuple(events))
+
+
+def _rational_lines(rng):
+    """Lines with denominators 2..7 and mixed signs: three to five meet at one
+    non-integer x, and two slopes are each taken by a pair of parallel lines."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+
+    x0 = Fraction(2 * rng.randint(-9, 9) + 1, 2 * rng.randint(1, 3))
+    y0 = q()
+    slopes = rng.sample(sorted({q() for _ in range(12)}), rng.randint(3, 5))
+    through = [real_line(s, y0 - s * x0) for s in slopes]
+    rest = [real_line(q(), q()) for _ in range(rng.randint(2, 6))]
+    shifted = [real_line(l.slope, l.intercept + rng.choice((-1, 1)) * abs(q() or 1))
+               for l in rng.sample(rest, 2)]
+    return list(dict.fromkeys(through + rest + shifted))
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_integer_wiring_matches_fraction_evaluation(seed):
+    # the scaled integer events equal the diagram read with Fractions
+    lines = _rational_lines(random.Random(seed))
+    W = wiring_from_real_lines(lines)
+    assert W == fraction_wiring(lines)
+    assert any(len(b) >= 3 for I, _ in W.events for b in I.blocks)
+
+
+def test_integer_wiring_matches_fraction_evaluation_on_typeb_lines():
+    # typeb_lines(6) has factorial intercepts, so the scaled heights are large
+    from braidforge.arrangements import typeb_lines
+
+    for lines in (typeb_lines(6), b2_lines()):
+        assert wiring_from_real_lines(lines) == fraction_wiring(lines)
 
 
 def test_wiring_lines_pair_linking_at_most_once():
