@@ -18,15 +18,18 @@ sign), so two conjugates by one braid compare only their middles; ``~~x``
 is ``x`` itself, so a conjugate by an inverse shares its ends too.  The
 Artin representation is kept for the places that print or
 inspect free-group images, and as an independent oracle in the tests.
-:func:`artin` reads a word right to left: prefixing one letter to a word
-whose action is already known rewrites only the images of the two
-generators that letter moves.  Each image is held as a conjugate
-c t_z c^-1 with c not ending in t_z^{+-1}, so a letter costs one
-:func:`_join` of reduced words.  While it works, :func:`artin` holds each
-image as ``bytes``, one signed byte per letter, so inverting an image is a
-slice and finding how far two words cancel is one integer XOR; this bounds
-it at 127 strands (the CLI's guard needs at most 37).  Outside
-:func:`artin` every image is a :class:`Word`.
+One kernel, :func:`_byte_images`, reads a word right to left: prefixing
+one letter to a word whose action is already known rewrites only the
+images of the two generators that letter moves.  Each image is held as a
+conjugate c t_z c^-1 with c not ending in t_z^{+-1}, so a letter costs one
+:func:`_join` of reduced words.  The kernel holds each image as ``bytes``,
+one signed byte per letter, so inverting an image is a slice and finding
+how far two words cancel is one integer XOR; this bounds it at 127 strands
+(the CLI's guard needs at most 37).  The bytes have two readers:
+:func:`artin` decodes each image to a :class:`Word`, and
+:func:`conjugate_splits` reads each image's core z and the exponent sums
+of its conjugator c straight off them.  Outside this module every image is
+a :class:`Word`.
 A normal form holds one byte per strand position, so
 :attr:`BraidWord.form` takes at most 256 strands.
 
@@ -45,6 +48,7 @@ braid, counted straight from its crossings.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import garside
@@ -58,6 +62,7 @@ __all__ = [
     "braid",
     "empty_braid",
     "artin",
+    "conjugate_splits",
     "braid_equal",
     "permutation",
     "is_pure",
@@ -195,7 +200,7 @@ _CORE = tuple(bytes((c, -c % 256)) for c in range(256))  # the letters t_z^{+-1}
 def _join(x: bytes, y: bytes) -> bytes:
     """The reduced word x y from reduced byte words x and y, x nonempty.
 
-    y may be empty: in :func:`artin` it is an image's conjugator half.
+    y may be empty: in :func:`_byte_images` it is an image's conjugator half.
     x's last k letters cancel y's first k exactly when x ends with the
     inverse of y[:k].  XOR the last m bytes of x with the inverse of y[:m]
     as big-endian integers: a cancelling letter is a zero byte at the low
@@ -210,8 +215,8 @@ def _join(x: bytes, y: bytes) -> bytes:
     return x[:len(x) - k] + y[k:]
 
 
-def artin(b: BraidWord) -> Endomorphism:
-    """The Artin representation of a braid word as a free-group endomorphism.
+def _byte_images(b: BraidWord) -> list[bytes]:
+    """The Artin images of the generators under b, one signed byte per letter.
 
     sigma_i sends t_i -> t_i t_{i+1} t_i^-1 and t_{i+1} -> t_i, and fixes
     the other generators.  The letters are read right to left: with psi the
@@ -224,8 +229,7 @@ def artin(b: BraidWord) -> Endomorphism:
     by u c (u = psi(t_i), c t_z c^-1 = psi(t_{i+1})), sigma_i^-1 likewise:
     one :func:`_join` per letter, whose trailing t_z^{+-1} letters commute
     with t_z and are stripped, so w + z + w^-1 is reduced.  The images are
-    ``bytes``, one signed byte per letter, so all of this runs in C; that
-    bounds the strand count at 127.  Each image is decoded once, at the end.
+    ``bytes``, so all of this runs in C; that bounds the strand count at 127.
     """
     n = b.strands
     if n > 127:
@@ -242,8 +246,34 @@ def artin(b: BraidWord) -> Endomorphism:
             h = len(u) >> 1
             w = _join(v[::-1].translate(_NEG), u[:h]).rstrip(_CORE[u[h]])
             images[i], images[i + 1] = v, w + u[h:h + 1] + w[::-1].translate(_NEG)
+    return images
+
+
+def artin(b: BraidWord) -> Endomorphism:
+    """The Artin representation of a braid word as a free-group endomorphism.
+
+    The images come from :func:`_byte_images`, each decoded once.
+    """
+    n = b.strands
     letter = _LETTER.__getitem__
-    return Endomorphism(n, tuple(Word(n, tuple(map(letter, img))) for img in images))
+    return Endomorphism(n, tuple(Word(n, tuple(map(letter, img))) for img in _byte_images(b)))
+
+
+def conjugate_splits(b: BraidWord) -> list[tuple[int, tuple[int, ...]]]:
+    """(z, ab) for each t_s, where artin(b) sends t_s to c t_z c^-1, c reduced.
+
+    ab is the exponent-sum vector of c, one entry per generator.  Both are
+    read off the byte image c + z + c^-1, so no :class:`Word` is built:
+    t_k^{+-1} is the byte k or 256 - k, and each is counted in C.
+    """
+    n = b.strands
+    ks, negs = range(1, n + 1), range(255, 255 - n, -1)
+    splits = []
+    for img in _byte_images(b):
+        h = len(img) >> 1
+        c = img[:h]
+        splits.append((img[h], tuple(map(sub, map(c.count, ks), map(c.count, negs)))))
+    return splits
 
 
 def _spine(b: BraidWord) -> list[tuple[BraidWord, int]]:

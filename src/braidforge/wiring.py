@@ -27,12 +27,12 @@ from .braid import (
     artin,
     braid,
     braid_equal,
+    conjugate_splits,
     empty_braid,
     linking_pairs,
     permutation,
     product,
 )
-from .freegroup import WordError, abelianize, peel_conjugate
 from .report import Report
 
 __all__ = [
@@ -156,6 +156,21 @@ def upsilon(I: ConsecutivePartition) -> BraidWord:
     return product([permutation_braid_mu(block, I.n) for block in I.blocks], I.n)
 
 
+@cache
+def _upsilon_squared(I: ConsecutivePartition) -> BraidWord:
+    """Upsilon_I^2, built once per partition and shared by every generator at I.
+
+    A given word, not ``ups * ups``: it stays cached, and a word keeps no parts.
+    """
+    return BraidWord(I.n, upsilon(I).letters * 2)
+
+
+@cache
+def _twist_product(I: ConsecutivePartition) -> BraidWord:
+    """The product of the full twists on I's blocks, built once per partition."""
+    return product([_full_twist_on(block, I.n) for block in I.blocks if len(block) > 1], I.n)
+
+
 def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
     """The pure braids gamma(u_j) = beta_j^-1 Upsilon_{I(j)}^2 beta_j, in order.
 
@@ -165,7 +180,7 @@ def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
     beta = empty_braid(W.n)
     for j, (I, between) in enumerate(W.events, start=1):
         ups = upsilon(I)
-        gamma = product([~beta, ups, ups, beta])
+        gamma = product([~beta, _upsilon_squared(I), beta])
         perm = permutation(beta)
         # (labels, positions) per block; disjoint blocks sort by least label
         carried = sorted((tuple(sorted(perm[p - 1] for p in b)), b) for b in I.blocks)
@@ -182,13 +197,19 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
     (a) its linking matrix is 1 exactly on pairs inside a common block;
     (b) each generator image reduces to w t_s w^-1 where abelianize(w) lies
         in the lattice spanned by the block's characteristic vector and e_s
-        (a strand in no block of ``g.blocks`` fails);
+        (a strand in no block of ``g.blocks`` fails); the split and the
+        exponent sums come from :func:`conjugate_splits`, and an image is
+        decoded only to print a failure;
     (c) ``g.positions`` form a consecutive partition of 1..n, so the full
         twists on their blocks are words in s_i at least 2 apart and commute
         by far commutation: the per-block product is the same in every order;
     (d) the braid equals beta_j^-1 (prod mu_B^2) beta_j, mu_B the half twist
-        on block B's positions in I(j), cached per (block, n); both are
-        conjugates by beta_j, so :func:`braid_equal` normalises neither.
+        on block B's positions in I(j).  Both are conjugates by beta_j, so
+        :func:`braid_equal` compares only the middles: Upsilon_I^2, which
+        :func:`braid_monodromy` shares among the generators at I, and the
+        block twists' product, built once per partition I of the positions.
+        So their normal forms, and the identity Upsilon_I^2 = prod mu_B^2,
+        are read once per partition, not per generator.
         If (c) fails, no twist is built.  ``n`` must be the strand count.
     """
     if n != g.braid.strands:
@@ -201,36 +222,30 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         report.add("linking pattern matches V(j)", False, "braid is not pure")
 
     by_strand = {s: block for block in g.blocks for s in block}
-    e = artin(g.braid)
-    for s in range(1, n + 1):
-        img = e.images[s - 1]
-        try:
-            w, core = peel_conjugate(img)
-        except WordError:
-            core = None
+    images = ()
+    for s, (core, ab) in enumerate(conjugate_splits(g.braid), start=1):
         if core != s:
-            report.add(f"image of t{s} is a conjugate of t{s}", False, str(img))
+            images = images or artin(g.braid).images
+            report.add(f"image of t{s} is a conjugate of t{s}", False, str(images[s - 1]))
             continue
         block = by_strand.get(s)
         check = f"conjugator of t{s} abelianizes into span(block, e{s})"
         if block is None:
             report.add(check, False, f"strand {s} lies in no block")
             continue
-        ab = abelianize(w)
         inside = {ab[k - 1] for k in block if k != s}
         outside_ok = all(ab[k - 1] == 0 for k in range(1, n + 1) if k not in block)
         report.add(check, outside_ok and len(inside) <= 1, f"block={block} ab={ab}")
 
     try:
-        ConsecutivePartition(n, tuple(sorted(g.positions)))
+        I = ConsecutivePartition(n, tuple(sorted(g.positions)))
     except WiringError as exc:
         report.add("positions form a consecutive partition", False, str(exc))
         report.add("per-block product", False, "positions are not a consecutive partition")
         return report
     report.add("positions form a consecutive partition", True)
-    twists = [_full_twist_on(block, n) for block in g.positions if len(block) > 1]
     beta = g.conjugator
-    report.add("per-block product", braid_equal(product([~beta, product(twists, n), beta]), g.braid))
+    report.add("per-block product", braid_equal(product([~beta, _twist_product(I), beta]), g.braid))
     return report
 
 

@@ -13,6 +13,7 @@ from braidforge.braid import (
     braid,
     braid_equal,
     braid_to_text,
+    conjugate_splits,
     empty_braid,
     full_twist,
     is_pure,
@@ -28,12 +29,14 @@ from braidforge.cli import run
 from braidforge.freegroup import (
     Endomorphism,
     WordError,
+    abelianize,
     apply,
     compose,
     conjugate,
     identity,
     invert,
     multiply,
+    peel_conjugate,
     word,
 )
 from braidforge.garside import normal_form
@@ -182,6 +185,39 @@ def test_artin_takes_127_strands_and_no_more():
     assert artin(braid(127, [-126])).images[126].letters == (-127, 126, 127)
     with pytest.raises(BraidError, match="at most 127 strands"):
         artin(braid(128, [1]))
+
+
+def _peeled_splits(b):
+    """conjugate_splits by the Word oracles: peel each Artin image, abelianize its half."""
+    splits = []
+    for img in artin(b).images:
+        c, z = peel_conjugate(img)
+        splits.append((z, abelianize(c)))
+    return splits
+
+
+@given(st.integers(2, 9).flatmap(
+    lambda n: st.lists(st.sampled_from([s for s in range(1 - n, n) if s]), max_size=24)
+    .map(lambda letters: braid(n, letters))))
+@settings(max_examples=200, deadline=None)
+def test_conjugate_splits_match_the_peeled_images(b):
+    assert conjugate_splits(b) == _peeled_splits(b)
+
+
+def test_conjugate_splits_at_the_edges():
+    # the empty braid, a braid that is not pure, and t_127^{+-1}, the bytes
+    # 129 and 255 at either end of the signed-byte range
+    rng = random.Random(127)
+    words = [(3, []), (4, [1, 2, -3, 2])]
+    words += [(127, [rng.choice((-1, 1)) * rng.randint(120, 126) for _ in range(10)] + [x])
+              for x in (126, -126)]
+    for n, letters in words:
+        b = braid(n, letters)
+        assert conjugate_splits(b) == _peeled_splits(b)
+    assert conjugate_splits(empty_braid(3)) == [(s, (0, 0, 0)) for s in (1, 2, 3)]
+    assert [z for z, _ in conjugate_splits(braid(4, [1, 2, -3, 2]))] != [1, 2, 3, 4]
+    z, ab = conjugate_splits(braid(127, [-126]))[126]
+    assert (z, ab[125:]) == (126, (0, -1))
 
 
 @pytest.mark.parametrize("n", [2, 5])

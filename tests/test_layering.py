@@ -64,6 +64,8 @@ TEST_FACING = {
     "freegroup.compose": "oracle: Artin images composed letter by letter",
     "freegroup.identity": "oracle: the start of a letter-by-letter Artin image",
     "freegroup.commutator": "oracle: expected relation words in the acceptance tests",
+    "freegroup.abelianize":
+        "oracle: exponent sums of peeled conjugators, against conjugate_splits",
     "garside.starting_set": "oracle: left-weightedness of normal-form factors",
     "garside.finishing_set": "oracle: left-weightedness of normal-form factors",
     "liealg.lyndon_words":
@@ -218,11 +220,15 @@ def test_tower_certificate_does_no_lie_arithmetic():
 
 
 def test_only_artin_reads_the_byte_tables():
-    # Artin images are byte strings only while artin builds them; every
-    # other reader sees Words.  "braid" is the tables' own definition.
+    # Artin images are byte strings only inside braid: the one kernel
+    # _byte_images builds them, artin decodes them to Words, and
+    # conjugate_splits reads cores and exponent sums off them.  "braid" is
+    # the tables' own definition.
+    kernel = {"braid.artin", "braid._byte_images", "braid._join"}
     for name in ("_NEG", "_LETTER", "_join"):
         readers = _readers(("braid", name)) - {"braid"}
-        assert readers and readers <= {"braid.artin", "braid._join"}, (name, readers)
+        assert readers and readers <= kernel, (name, readers)
+    assert _readers(("braid", "_byte_images")) == {"braid.artin", "braid.conjugate_splits"}
 
 
 def _method(module: str, cls: str, name: str) -> ast.FunctionDef | None:

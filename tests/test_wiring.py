@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidforge import wiring
+from braidforge import garside, wiring
 from braidforge.braid import (
     braid,
     braid_equal,
@@ -292,10 +293,102 @@ def test_twist_shape_never_normalises_a_conjugated_generator():
     assert conjugated == 3
 
 
+def test_twist_shape_normalises_each_partition_once(monkeypatch):
+    # generators 2 and 4 of b2 share the partition (12)(3)(45) under
+    # different conjugators: once beta cancels, both middles are the same
+    # two cached braids, so the second check reads no normal form at all
+    for cached in (wiring._upsilon_squared, wiring._twist_product,
+                   wiring._full_twist_on, permutation_braid_mu):
+        cached.cache_clear()
+    gens = braid_monodromy(b2_diagram())
+    first, second = gens[1], gens[3]
+    assert sorted(first.positions) == sorted(second.positions)
+    assert first.conjugator.letters != second.conjugator.letters
+    calls = []
+    left_weight = garside._left_weight
+    monkeypatch.setattr(garside, "_left_weight", lambda a, b: calls.append(1) or left_weight(a, b))
+    assert verify_twist_shape(first, 5).passed
+    assert calls
+    calls.clear()
+    assert verify_twist_shape(second, 5).passed
+    assert not calls
+
+
+def _per_block_product(g):
+    [check] = [c for c in verify_twist_shape(g, g.braid.strands).checks
+               if c.name == "per-block product"]
+    return check.ok
+
+
+def test_twist_shape_fails_a_wrong_middle():
+    # a generator whose shared Upsilon_I^2 is swapped for its inverse, the
+    # same object with the other sign, fails: the middles are compared
+    for g in braid_monodromy(b2_diagram()):
+        beta, I = g.conjugator, partition(5, sorted(g.positions))
+        assert _per_block_product(g)
+        assert not _per_block_product(
+            replace(g, braid=product([~beta, ~wiring._upsilon_squared(I), beta])))
+
+
+def test_twist_shape_does_not_trust_the_shared_upsilon(monkeypatch):
+    # if the shared Upsilon_I^2 were wrong, here Upsilon_I, the check's own
+    # twist product would still tell
+    monkeypatch.setattr(wiring, "_upsilon_squared", upsilon)
+    for g in braid_monodromy(b2_diagram()):
+        assert not _per_block_product(g)
+
+
 def test_twist_shape_empty_braid_vacuous():
     W = WiringDiagram(3, ((singletons(3), empty_braid(3)),))
     g = braid_monodromy(W)[0]
     assert verify_twist_shape(g, 3).passed
+
+
+def _twist_shape_lines(seed):
+    """The "title, name, ok, detail" lines of verify_twist_shape on seeded generators.
+
+    Each generator of four seeded braided diagrams and four seeded line sets
+    is checked as it is and tampered four ways: made not pure, given
+    overlapping positions, given blocks that miss strand n, and given
+    singleton blocks, so the conjugator lines fail with their ``ab`` text.
+    """
+    rng = random.Random(seed)
+    diagrams = [_random_diagram(rng, rng.randint(2, 7), rng.randint(1, 5)) for _ in range(4)]
+    diagrams += [wiring_from_real_lines(_random_lines(rng)) for _ in range(4)]
+    lines = []
+    for W in diagrams:
+        n = W.n
+        for g in braid_monodromy(W):
+            for h in (
+                g,
+                replace(g, braid=g.braid * braid(n, [1])),
+                replace(g, positions=((1, 2),) + tuple((k,) for k in range(2, n + 1))),
+                replace(g, blocks=tuple(b for b in g.blocks if n not in b)),
+                replace(g, blocks=tuple((k,) for k in range(1, n + 1))),
+            ):
+                rep = verify_twist_shape(h, n)
+                lines += [f"{rep.title}\t{c.name}\t{c.ok}\t{c.detail}" for c in rep.checks]
+    return lines
+
+
+# sha256 prefix of _twist_shape_lines(seed), recorded while check (b) still
+# decoded every Artin image and peeled it, and check (d) still normalised
+# Upsilon^2 and the block twists for each generator
+TWIST_SHAPE_DIGESTS = {
+    1: "d507ffe210b5dfdf",
+    2: "1b510b39c2548298",
+    3: "638b4b02b80f9668",
+    4: "0197abe60ed22313",
+    5: "4409950247462b52",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TWIST_SHAPE_DIGESTS))
+def test_twist_shape_reports_are_pinned(seed):
+    lines = _twist_shape_lines(seed)
+    assert any("\tFalse\tblock=" in line for line in lines)
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == TWIST_SHAPE_DIGESTS[seed]
 
 
 def test_wiring_from_b2_lines():
