@@ -47,8 +47,9 @@ __all__ = [
     "monomial_flats",
     "build_typeb_tower",
     "build_monomial_tower",
+    "tower_relations",
     "assemble_presentation",
-    "format_presentation",
+    "write_presentation",
     "ft_bracket_relations",
     "pbn_table_cells",
     "verify_pbn_table",
@@ -378,19 +379,25 @@ def _level_braids(tower: list[TowerLevel]):
         lower.extend(lvl.gens)
 
 
-def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
-    """Emit the conjugation relations x^-1 y x = eta(x)(y) of the tower.
+def tower_relations(tower: list[TowerLevel]):
+    """The conjugation relations x^-1 y x = eta(x)(y) of the tower, one at a time.
 
     For each lower generator x and each level-j generator y = t_q, the
     right-hand side is the Artin image of t_q under the stored braid for x,
-    a word over the level-j generators.
+    a word over the level-j generators.  The braid keys of every level are
+    checked before this returns; the relations are then built lazily, so
+    only one braid's images are held at a time.
     """
-    relations: list[Relation] = []
-    for lvl, braids in _level_braids(tower):
-        for x, braid in braids:
-            eta = artin(braid)
-            relations.extend(Relation(x, y, img) for y, img in zip(lvl.gens, eta.images))
-    return Presentation(tuple(g for lvl in tower for g in lvl.gens), tuple(relations))
+    levels = list(_level_braids(tower))
+    return (Relation(x, y, img)
+            for lvl, braids in levels
+            for x, braid in braids
+            for y, img in zip(lvl.gens, artin(braid).images))
+
+
+def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
+    """The tower's generators and all of its ``tower_relations``, held at once."""
+    return Presentation(tuple(g for lvl in tower for g in lvl.gens), tuple(tower_relations(tower)))
 
 
 def _tokens(names) -> dict[int, str]:
@@ -405,20 +412,23 @@ def _word_text(w: Word, tokens: dict[int, str]) -> str:
     return " ".join(map(tokens.__getitem__, w.letters)) or "1"
 
 
-def format_presentation(pres: Presentation) -> str:
-    """The generators with their (level, position), then one line per relation."""
-    label = {g: g.label() for g in pres.generators}
+def write_presentation(generators, relations, out) -> None:
+    """Write the generators with their (level, position), then one line per relation.
+
+    Each line goes to ``out`` in its own write as soon as it is built, so a
+    stream of ``relations`` is never held whole, nor is the text.
+    """
+    label = {g: g.label() for g in generators}
     by_level: dict[int, list[str]] = {}
-    lines = ["# generators: name (level, position)"]
-    for g in pres.generators:
+    out.write("# generators: name (level, position)\n")
+    for g in generators:
         names = by_level.setdefault(g.level, [])
         names.append(label[g])
-        lines.append(f"# {label[g]} ({g.level}, {len(names)})")
+        out.write(f"# {label[g]} ({g.level}, {len(names)})\n")
     tokens = {lv: _tokens(names) for lv, names in by_level.items()}
-    for rel in pres.relations:
+    for rel in relations:
         x, y = label[rel.conj], label[rel.target]
-        lines.append(f"{x}^-1 {y} {x} = {_word_text(rel.rhs, tokens[rel.target.level])}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{x}^-1 {y} {x} = {_word_text(rel.rhs, tokens[rel.target.level])}\n")
 
 
 def ft_bracket_relations(tower: list[TowerLevel]) -> HolonomyPresentation:

@@ -130,8 +130,9 @@ def _cmd_present(args, out) -> int:
         _guard("r", args.r, MAX_R)
         _guard("n", args.n, MAX_N)
         tower = arr.build_monomial_tower(args.r, args.n)
-    pres = arr.assemble_presentation(tower)
-    out.write(arr.format_presentation(pres))
+    # every level's braid keys are checked here, before the first write
+    relations = arr.tower_relations(tower)
+    arr.write_presentation([g for lvl in tower for g in lvl.gens], relations, out)
     return 0
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,6 @@ from braidforge.arrangements import (
     build_typeb_tower,
     c_sym,
     exponents,
-    format_presentation,
     ft_bracket_relations,
     monomial_flats,
     monomial_hyperplanes,
@@ -25,9 +25,11 @@ from braidforge.arrangements import (
     typeb_meridian_symbols,
     typeb_monodromy_closed,
     typeb_hyperplane,
+    tower_relations,
     typeb_wiring_cross_check,
     verify_pbn_correspondence,
     verify_pbn_table,
+    write_presentation,
     z_hyp,
     TowerLevel,
 )
@@ -267,11 +269,12 @@ def test_trivial_tower_direct_product():
     assert len(pres.relations) == 2
     for rel in pres.relations:
         assert rel.rhs.letters in ((1,), (2,))
-    text = format_presentation(pres)
-    assert "Z[1]^-1 Z[2] Z[1] = Z[2]" in text
+    out = io.StringIO()
+    write_presentation(pres.generators, pres.relations, out)
+    assert "Z[1]^-1 Z[2] Z[1] = Z[2]\n" in out.getvalue()
 
 
-@pytest.mark.parametrize("read", [assemble_presentation, ft_bracket_relations])
+@pytest.mark.parametrize("read", [assemble_presentation, tower_relations, ft_bracket_relations])
 @pytest.mark.parametrize(
     "braids,message",
     [
@@ -289,7 +292,8 @@ def test_trivial_tower_direct_product():
     ],
 )
 def test_tower_readers_check_the_braid_keys(read, braids, message):
-    # both readers of a tower see the same keys: one for each lower generator
+    # every reader of a tower sees the same keys, one for each lower
+    # generator; tower_relations checks them all before it builds a relation
     with pytest.raises(ArrangementError, match=f"^{re.escape(message)}$"):
         read(_trivial_tower(braids))
 

@@ -1,13 +1,17 @@
+import dataclasses
 import hashlib
 import io
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from braidforge import arrangements
 from braidforge.cli import run
 from braidforge.liealg import witt_rank
 
@@ -230,6 +234,36 @@ def test_lie_flats_file_errors(tmp_path, text, message):
     assert out == f"error: {message}\n"
 
 
+def _p5_flats(with_pairs: bool) -> str:
+    """The rank-2 flats of the braid arrangement P_5, hyperplanes ``ij`` = {x_i = x_j}."""
+    names = [f"{i}{j}" for i, j in combinations(range(1, 6), 2)]
+    flats = [f"{i}{j} {i}{k} {j}{k}" for i, j, k in combinations(range(1, 6), 3)]
+    if with_pairs:
+        flats += [f"{a} {b}" for a, b in combinations(names, 2) if not set(a) & set(b)]
+    return "gens: " + " ".join(names) + "\n" + "".join(f"flat: {f}\n" for f in flats)
+
+
+def test_lie_flats_needs_every_pair_flat(tmp_path):
+    # a pair of hyperplanes in no listed flat is read as not commuting, so a
+    # flats file without P_5's 15 pair flats presents another Lie algebra
+    flats = tmp_path / "p5.flats"
+    flats.write_text(_p5_flats(with_pairs=True))
+    assert flats.read_text().count("flat:") == 25
+    code, out = run_cli("lie", "--flats", str(flats), "--exponents", "1,2,3,4",
+                        "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines()[2].split() == ["2", "10", "10", "yes"]
+    flats.write_text(_p5_flats(with_pairs=False))
+    assert flats.read_text().count("flat:") == 10
+    code, out = run_cli("lie", "--flats", str(flats), "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines()[2].split() == ["2", "25", "-", "-"]
+    code, out = run_cli("lie", "--flats", str(flats), "--exponents", "1,2,3,4",
+                        "--max-degree", "2")
+    assert code == 1
+    assert "FAIL\tlie\tdegree 2" in out
+
+
 def test_lie_mismatch_exit_code(tmp_path):
     flats = tmp_path / "pair.flats"
     flats.write_text("a b\n")
@@ -272,8 +306,9 @@ def test_python_dash_m_entry_point():
 def test_closed_pipe_ends_without_traceback():
     # The reader takes one line and closes the pipe (``... | head -1``), even
     # with PYTHONUNBUFFERED set.  typeb writes in several calls; present
-    # writes about 150 kB in one call, more than the pipe holds, so the rest
-    # meets the closed pipe and the run must report it by exit status 1.
+    # writes about 150 kB, one line per call, more than the pipe holds, so
+    # the rest meets the closed pipe and the run must report it by exit
+    # status 1.
     env = dict(os.environ, PYTHONUNBUFFERED="1",
                PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for argv, first, codes in (
@@ -399,6 +434,59 @@ def test_present_output_digests(what, r, n):
     code, out = run_cli(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == PRESENT_DIGESTS[what, r, n]
+
+
+class _CountingWriter:
+    """Keeps only counts and a digest of what is written: characters, the
+    longest single write and the longest line, newline included."""
+
+    def __init__(self):
+        self.chars = self.longest_write = self.longest_line = self._line = 0
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.chars += len(text)
+        self.longest_write = max(self.longest_write, len(text))
+        self.sha.update(text.encode())
+        *ended, rest = text.split("\n")
+        for part in ended:
+            self.longest_line = max(self.longest_line, self._line + len(part) + 1)
+            self._line = 0
+        self._line += len(rest)
+
+
+def test_present_streams_one_relation_at_a_time():
+    # present (6,6) prints 7.3 MB.  Every relation's word, every line and
+    # the joined text held at once come to about four times that; streamed,
+    # the peak is about one braid's Artin images, well under half the text.
+    out = _CountingWriter()
+    tracemalloc.start()
+    try:
+        code = run(["present", "monomial", "--r", "6", "--n", "6"], out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.sha.hexdigest()[:16] == PRESENT_DIGESTS["monomial", 6, 6]
+    assert peak < out.chars / 2, (peak, out.chars)
+    assert out.longest_write <= out.longest_line
+
+
+def test_present_checks_the_whole_tower_before_writing(monkeypatch):
+    # a bad braid key in the last level is found before the first line is
+    # written, so the output is the error line alone
+    real = arrangements.build_monomial_tower
+
+    def short_tower(r, n):
+        tower = real(r, n)
+        braids = dict(tower[-1].braids)
+        del braids[arrangements.z_hyp(2)]
+        return tower[:-1] + [dataclasses.replace(tower[-1], braids=braids)]
+
+    monkeypatch.setattr(arrangements, "build_monomial_tower", short_tower)
+    code, out = run_cli("present", "monomial", "--r", "2", "--n", "3")
+    assert code == 2
+    assert out == "error: tower level 3 lacks a braid for Z[2]\n"
 
 
 def test_monodromy_reports_a_second_braid_line(tmp_path):
