@@ -1,11 +1,11 @@
-"""Type-B tower data, monomial arrangement flats, and presentation assembly.
+"""Type-B tower data, monomial arrangement flats, and tower presentations.
 
 The type-B arrangement on n coordinates is sliced by a generic line into
 2n+1 real fiber lines; its braid monodromy has a closed form in the pure
 braid generators which this module builds and cross-checks against the
 wiring-diagram computation.  The monomial arrangement's codimension-two
 flats and the iterated semidirect-product presentations of both towers are
-assembled here as well, together with what reads the towers: their holonomy
+built here as well, together with what reads the towers: their holonomy
 presentations and the type-B action table, checked on fiber words and, at
 r = 2, as braid identities among the monomial braids.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "Hyperplane",
     "BSym",
     "TowerLevel",
-    "Presentation",
     "typeb_lines",
     "typeb_meridian_symbols",
     "typeb_monodromy_closed",
@@ -48,7 +47,6 @@ __all__ = [
     "build_typeb_tower",
     "build_monomial_tower",
     "tower_relations",
-    "assemble_presentation",
     "write_presentation",
     "ft_bracket_relations",
     "pbn_table_cells",
@@ -238,10 +236,11 @@ def monomial_flats(r: int, n: int) -> list[tuple[Hyperplane, ...]]:
 
     Each unordered pair of hyperplanes lies in exactly one listed flat;
     the test suite checks this against a brute-force intersection oracle
-    over the cyclotomic field.
+    over the cyclotomic field.  At n = 1 the arrangement is the single
+    hyperplane H_1 and has no flats.
     """
-    if r < 1 or n < 2:
-        raise ArrangementError("need r >= 1 and n >= 2")
+    if r < 1:
+        raise ArrangementError("need r >= 1")
     flats: list[tuple[Hyperplane, ...]] = []
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
@@ -311,14 +310,6 @@ class Relation:
     conj: Hyperplane | BSym
     target: Hyperplane | BSym
     rhs: Word
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Iterated semidirect-product presentation: conjugation relations only."""
-
-    generators: tuple[Hyperplane | BSym, ...]
-    relations: tuple[Relation, ...]
 
 
 def build_typeb_tower(n: int) -> list[TowerLevel]:
@@ -395,11 +386,6 @@ def tower_relations(tower: list[TowerLevel]):
             for y, img in zip(lvl.gens, artin(braid).images))
 
 
-def assemble_presentation(tower: list[TowerLevel]) -> Presentation:
-    """The tower's generators and all of its ``tower_relations``, held at once."""
-    return Presentation(tuple(g for lvl in tower for g in lvl.gens), tuple(tower_relations(tower)))
-
-
 def _tokens(names) -> dict[int, str]:
     """Each letter's spelling in the generator names ``names``: ``t -> name``, ``-t -> name^-1``."""
     tokens = {i: name for i, name in enumerate(names, start=1)}
@@ -412,23 +398,25 @@ def _word_text(w: Word, tokens: dict[int, str]) -> str:
     return " ".join(map(tokens.__getitem__, w.letters)) or "1"
 
 
-def write_presentation(generators, relations, out) -> None:
-    """Write the generators with their (level, position), then one line per relation.
+def write_presentation(tower: list[TowerLevel], out) -> None:
+    """Write the tower's generators with their (level, position), then one line per relation.
 
-    Each line goes to ``out`` in its own write as soon as it is built, so a
-    stream of ``relations`` is never held whole, nor is the text.
+    ``tower_relations`` checks every level's braid keys before the first
+    write.  Each line then goes to ``out`` in its own write as soon as it is
+    built, so neither the relations nor the text are ever held whole.
     """
-    label = {g: g.label() for g in generators}
-    by_level: dict[int, list[str]] = {}
+    relations = tower_relations(tower)
+    label, tokens = {}, {}
     out.write("# generators: name (level, position)\n")
-    for g in generators:
-        names = by_level.setdefault(g.level, [])
-        names.append(label[g])
-        out.write(f"# {label[g]} ({g.level}, {len(names)})\n")
-    tokens = {lv: _tokens(names) for lv, names in by_level.items()}
+    for lvl in tower:
+        names = [g.label() for g in lvl.gens]
+        table = _tokens(names)
+        for pos, (g, name) in enumerate(zip(lvl.gens, names), start=1):
+            label[g], tokens[g] = name, table
+            out.write(f"# {name} ({lvl.level}, {pos})\n")
     for rel in relations:
         x, y = label[rel.conj], label[rel.target]
-        out.write(f"{x}^-1 {y} {x} = {_word_text(rel.rhs, tokens[rel.target.level])}\n")
+        out.write(f"{x}^-1 {y} {x} = {_word_text(rel.rhs, tokens[rel.target])}\n")
 
 
 def ft_bracket_relations(tower: list[TowerLevel]) -> HolonomyPresentation:
@@ -603,18 +591,19 @@ def verify_pbn_table(n: int) -> Report:
     """Check the type-B action table against the relations ``present typeb`` prints.
 
     Each cell g^-1 y g is the left-hand side of one relation of
-    ``assemble_presentation(build_typeb_tower(n))``; its right-hand side is
-    read from there, and positions from the level's symbols.  Each literal
-    cell is compared as reduced words; the two cells without a well-formed
-    printed conjugator are reported informationally with the computed
-    right-hand side (and, for the c-on-b cell, whether the c_l emendation
-    matches).
+    ``tower_relations(build_typeb_tower(n))``, the stream ``write_presentation``
+    prints; its right-hand side is read from there, and positions from the
+    level's symbols.  So the table and ``present typeb`` share one reader of
+    the tower.  Each literal cell is compared as reduced words; the two
+    cells without a well-formed printed conjugator are reported
+    informationally with the computed right-hand side (and, for the c-on-b
+    cell, whether the c_l emendation matches).
     """
     if not (2 <= n):
         raise ArrangementError("need n >= 2")
     report = Report(f"type-B action table, n={n}")
     tower = build_typeb_tower(n)
-    rhs = {(rel.conj, rel.target): rel.rhs for rel in assemble_presentation(tower).relations}
+    rhs = {(rel.conj, rel.target): rel.rhs for rel in tower_relations(tower)}
     for cell in pbn_table_cells(n):
         gens = tower[cell.l - 1].gens
         q = gens.index(cell.target) + 1

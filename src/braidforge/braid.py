@@ -89,6 +89,12 @@ class BraidWord:
     through :func:`braid`, and the package's own builders pass it letters
     they have already bounded.  Both lazy properties walk the parts with an
     explicit stack, so a deep chain such as ``b = b * s`` needs no recursion.
+    Such a chain still keeps every intermediate braid as a part, and once
+    ``form`` is read, each intermediate's normal form too, so its memory
+    grows with the square of its length: 3000 steps of ``b = b * s`` on 3
+    strands peak at about 60 MB (``ru_maxrss``, after ``form`` and
+    ``letters``), where one ``product([s] * 3000)`` peaks at about 17 MB.
+    Build a long word with a single :func:`product` call.
     """
 
     def __init__(self, strands: int, letters: tuple[int, ...], parts=()) -> None:

@@ -130,9 +130,7 @@ def _cmd_present(args, out) -> int:
         _guard("r", args.r, MAX_R)
         _guard("n", args.n, MAX_N)
         tower = arr.build_monomial_tower(args.r, args.n)
-    # every level's braid keys are checked here, before the first write
-    relations = arr.tower_relations(tower)
-    arr.write_presentation([g for lvl in tower for g in lvl.gens], relations, out)
+    arr.write_presentation(tower, out)
     return 0
 
 

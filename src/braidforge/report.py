@@ -19,13 +19,11 @@ class Check:
 class Report:
     """An ordered list of named checks; a report passes if every check does."""
 
-    title: str = ""
+    title: str
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, name: str, ok: bool, detail: str = "") -> Check:
-        check = Check(name, bool(ok), detail)
-        self.checks.append(check)
-        return check
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append(Check(name, bool(ok), detail))
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
@@ -40,5 +38,4 @@ class Report:
 
     def summary(self) -> str:
         n_fail = len(self.failures)
-        head = self.title or "report"
-        return f"{head}: {len(self.checks) - n_fail}/{len(self.checks)} checks passed"
+        return f"{self.title}: {len(self.checks) - n_fail}/{len(self.checks)} checks passed"

@@ -11,7 +11,6 @@ from braidforge.arrangements import (
     ArrangementError,
     a_hyp,
     a_sym,
-    assemble_presentation,
     b_sym,
     build_monomial_tower,
     build_typeb_tower,
@@ -230,6 +229,18 @@ def test_monomial_flats_r2_n2_single_flat():
     assert flats[0] == (z_hyp(1), a_hyp(1, 2, 1), z_hyp(2), a_hyp(1, 2, 2))
 
 
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_monomial_flats_of_one_hyperplane(r):
+    # at n = 1 the arrangement is H_1 alone, so it has no codimension-two flat
+    assert monomial_hyperplanes(r, 1) == [z_hyp(1)]
+    assert monomial_flats(r, 1) == []
+
+
+def test_monomial_flats_need_a_positive_r():
+    with pytest.raises(ArrangementError, match="^need r >= 1$"):
+        monomial_flats(0, 2)
+
+
 @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 4), (2, 4)])
 def test_every_pair_in_exactly_one_flat(r, n):
     flats = monomial_flats(r, n)
@@ -265,16 +276,31 @@ def _trivial_tower(braids):
 
 
 def test_trivial_tower_direct_product():
-    pres = assemble_presentation(_trivial_tower({z_hyp(1): empty_braid(2)}))
-    assert len(pres.relations) == 2
-    for rel in pres.relations:
+    tower = _trivial_tower({z_hyp(1): empty_braid(2)})
+    relations = list(tower_relations(tower))
+    assert len(relations) == 2
+    for rel in relations:
         assert rel.rhs.letters in ((1,), (2,))
     out = io.StringIO()
-    write_presentation(pres.generators, pres.relations, out)
+    write_presentation(tower, out)
     assert "Z[1]^-1 Z[2] Z[1] = Z[2]\n" in out.getvalue()
 
 
-@pytest.mark.parametrize("read", [assemble_presentation, tower_relations, ft_bracket_relations])
+def _write_nothing_on_error(tower):
+    """write_presentation as a tower reader: a bad key raises before its first write."""
+    buf = io.StringIO()
+    try:
+        write_presentation(tower, buf)
+    except ArrangementError:
+        assert buf.getvalue() == ""
+        raise
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(_write_nothing_on_error, id="write_presentation"),
+    tower_relations,
+    ft_bracket_relations,
+])
 @pytest.mark.parametrize(
     "braids,message",
     [
@@ -318,14 +344,11 @@ def test_typeb_hyperplane_is_the_r2_dictionary():
 
 def test_typeb_tower_relation_count_and_abelianization():
     tower = build_typeb_tower(3)
-    pres = assemble_presentation(tower)
+    relations = list(tower_relations(tower))
     # sum over i<j of d_i * d_j with d = (1, 3, 5)
-    assert len(pres.relations) == 1 * 3 + 1 * 5 + 3 * 5
-    by_level = {}
-    for g in pres.generators:
-        by_level.setdefault(g.level, []).append(g)
-    for rel in pres.relations:
-        target_pos = by_level[rel.target.level].index(rel.target) + 1
+    assert len(relations) == 1 * 3 + 1 * 5 + 3 * 5
+    for rel in relations:
+        target_pos = tower[rel.target.level - 1].gens.index(rel.target) + 1
         ab = abelianize(rel.rhs)
         assert ab[target_pos - 1] == 1
         assert all(v == 0 for k, v in enumerate(ab) if k != target_pos - 1)
@@ -333,11 +356,10 @@ def test_typeb_tower_relation_count_and_abelianization():
 
 def test_typeb_tower_reproduces_b2_table():
     tower = build_typeb_tower(3)
-    pres = assemble_presentation(tower)
     # conjugation of t_3 by c_1 at level 3 has RHS (t2 t3 t4) t3 (t2 t3 t4)^-1
     t = lambda *xs: word(5, xs)
     rel = next(
-        r for r in pres.relations if r.conj == c_sym(1) and r.target == c_sym(3)
+        r for r in tower_relations(tower) if r.conj == c_sym(1) and r.target == c_sym(3)
     )
     wconj = t(2, 3, 4)
     assert rel.rhs == multiply(multiply(wconj, t(3)), invert(wconj))
@@ -345,9 +367,9 @@ def test_typeb_tower_reproduces_b2_table():
 
 def test_monomial_tower_matches_typeb_at_r2():
     # same tower shape: level ranks equal and relation counts agree
-    tb = assemble_presentation(build_typeb_tower(3))
-    mo = assemble_presentation(build_monomial_tower(2, 3))
-    assert len(tb.relations) == len(mo.relations)
+    tb = list(tower_relations(build_typeb_tower(3)))
+    mo = list(tower_relations(build_monomial_tower(2, 3)))
+    assert len(tb) == len(mo)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -385,28 +407,35 @@ def test_pbn_table_rejects_a_non_conjugate_image(monkeypatch):
 
 def test_pbn_table_reads_the_printed_relations(monkeypatch):
     # the table takes each right-hand side from the relations `present typeb`
-    # prints, so a relation tampered there fails exactly its own cell
+    # prints, so a relation tampered there fails exactly its own cell and
+    # reaches the printed text as well
     import braidforge.arrangements as arrangements
 
-    real = arrangements.assemble_presentation
+    real = arrangements.tower_relations
     cell = "a[1,2]^-1 a[1,3] a[1,2]"  # conjugator a[1,3] a[2,3], not empty
 
     def tampered(tower):
-        pres = real(tower)
-        relations = tuple(
+        return (
             dataclasses.replace(
                 rel,
                 rhs=word(rel.rhs.rank, [tower[rel.target.level - 1].gens.index(rel.target) + 1]),
             )
             if (rel.conj, rel.target) == (a_sym(1, 2), a_sym(1, 3))
             else rel
-            for rel in pres.relations
+            for rel in real(tower)
         )
-        return dataclasses.replace(pres, relations=relations)
 
+    def printed():
+        out = io.StringIO()
+        write_presentation(build_typeb_tower(3), out)
+        return out.getvalue().splitlines()
+
+    line = f"{cell} = a[1,3]"
     assert verify_pbn_table(3).passed
-    monkeypatch.setattr(arrangements, "assemble_presentation", tampered)
+    assert line not in printed()
+    monkeypatch.setattr(arrangements, "tower_relations", tampered)
     assert [c.name for c in verify_pbn_table(3).failures] == [cell]
+    assert line in printed()
 
 
 # sha256 prefix of the "name, ok, detail" lines of verify_pbn_table(n), as

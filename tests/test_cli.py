@@ -178,6 +178,16 @@ def test_lie_monomial_at_the_guard():
     ]
 
 
+@pytest.mark.parametrize("r", [1, 6])
+def test_lie_monomial_with_one_coordinate(r):
+    # n = 1 passes the guard as it does for present and monomial: the one
+    # hyperplane H_1 spans a free Lie algebra of rank 1
+    code, out = run_cli("lie", "--monomial", f"{r},1", "--max-degree", "8")
+    assert code == 0
+    rows = [line.split() for line in out.strip().splitlines()[1:]]
+    assert rows == [[str(k), str(int(k == 1)), str(int(k == 1)), "yes"] for k in range(1, 9)]
+
+
 def test_format_is_an_option_of_lie_alone():
     # only the lie rank table has a tsv form; other commands reject the flag
     code, _ = run_cli("monodromy", os.path.join(DATA, "b2.wd"), "--format", "tsv")

@@ -289,3 +289,10 @@ def test_monomial_takes_purity_from_the_linking_numbers():
     # suite does not walk each generator's letters a second time
     readers = _readers(("braid", "is_pure"))
     assert not {path for path in readers if path.split(".")[0] == "monomial"}, readers
+
+
+def test_one_reader_path_for_the_tower_relations():
+    # present typeb prints the relations the action table reads, and both
+    # take them from the one stream: no second copy holds them all at once
+    assert _readers(("arrangements", "tower_relations")) == {
+        "arrangements.write_presentation", "arrangements.verify_pbn_table"}

@@ -800,19 +800,19 @@ def test_ft_bracket_relations_typeb_ranks():
 
 def test_ft_relations_span_matches_raw_lemma_transform():
     # the cleaned block relations span the same degree-2 space as the raw
-    # conjugator-abelianization transforms of the assembled presentation
-    from braidforge.arrangements import assemble_presentation
+    # conjugator-abelianization transforms of the tower's relations
+    from braidforge.arrangements import tower_relations
     from braidforge.freegroup import abelianize
 
     tower = build_typeb_tower(3)
     hp = ft_bracket_relations(tower)
-    pres = assemble_presentation(tower)
-    index = {g: i + 1 for i, g in enumerate(pres.generators)}
+    gens = [g for lvl in tower for g in lvl.gens]
+    index = {g: i + 1 for i, g in enumerate(gens)}
     offsets = {}
-    for g in pres.generators:
+    for g in gens:
         offsets.setdefault(g.level, index[g] - 1)
     raw = []
-    for rel in pres.relations:
+    for rel in tower_relations(tower):
         x = index[rel.conj]
         y = index[rel.target]
         img = rel.rhs
