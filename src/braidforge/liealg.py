@@ -197,13 +197,6 @@ class LieElement:
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + (-other)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LieElement)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
 
 def generator(i: int) -> LieElement:
     if i < 1:

@@ -144,43 +144,35 @@ def permutation_braid_mu(block: tuple[int, ...], n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-@cache
-def _full_twist_on(block: tuple[int, ...], n: int) -> BraidWord:
-    """mu_B^2, the full twist on an interval block, built once per (block, n)."""
-    mu = permutation_braid_mu(block, n)
-    return mu * mu
-
-
 def upsilon(I: ConsecutivePartition) -> BraidWord:
     """Product of the half twists of all blocks of the partition."""
     return product([permutation_braid_mu(block, I.n) for block in I.blocks], I.n)
 
 
 @cache
-def _upsilon_squared(I: ConsecutivePartition) -> BraidWord:
-    """Upsilon_I^2, built once per partition and shared by every generator at I.
+def _twists(I: ConsecutivePartition) -> tuple[BraidWord, BraidWord]:
+    """(Upsilon_I^2, the product of the full twists mu_B^2 on I's blocks), once per partition.
 
-    A given word, not ``ups * ups``: it stays cached, and a word keeps no parts.
+    Upsilon_I^2 is a given word, not ``ups * ups``, so it keeps no parts; the
+    twist product's parts are the blocks' cached half twists, each taken
+    twice, so its form multiplies forms already read and no mu_B^2 is built.
     """
-    return BraidWord(I.n, upsilon(I).letters * 2)
-
-
-@cache
-def _twist_product(I: ConsecutivePartition) -> BraidWord:
-    """The product of the full twists on I's blocks, built once per partition."""
-    return product([_full_twist_on(block, I.n) for block in I.blocks if len(block) > 1], I.n)
+    mus = [permutation_braid_mu(block, I.n) for block in I.blocks if len(block) > 1]
+    return BraidWord(I.n, upsilon(I).letters * 2), product([m for mu in mus for m in (mu, mu)], I.n)
 
 
 def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
     """The pure braids gamma(u_j) = beta_j^-1 Upsilon_{I(j)}^2 beta_j, in order.
 
-    Pure without a check: each half twist reverses its block, so Upsilon's
-    permutation is an involution and gamma(u_j) is a conjugate of Upsilon^2."""
+    Upsilon_I^2 is the first half of the partition's one cached twist record,
+    so every generator at I shares one middle.  Pure without a check: each
+    half twist reverses its block, so Upsilon's permutation is an involution
+    and gamma(u_j) is a conjugate of Upsilon^2."""
     gens: list[MonodromyGenerator] = []
     beta = empty_braid(W.n)
     for j, (I, between) in enumerate(W.events, start=1):
         ups = upsilon(I)
-        gamma = product([~beta, _upsilon_squared(I), beta])
+        gamma = product([~beta, _twists(I)[0], beta])
         perm = permutation(beta)
         # (labels, positions) per block; disjoint blocks sort by least label
         carried = sorted((tuple(sorted(perm[p - 1] for p in b)), b) for b in I.blocks)
@@ -205,9 +197,10 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         by far commutation: the per-block product is the same in every order;
     (d) the braid equals beta_j^-1 (prod mu_B^2) beta_j, mu_B the half twist
         on block B's positions in I(j).  Both are conjugates by beta_j, so
-        :func:`braid_equal` compares only the middles: Upsilon_I^2, which
-        :func:`braid_monodromy` shares among the generators at I, and the
-        block twists' product, built once per partition I of the positions.
+        :func:`braid_equal` compares only the middles, the two halves of the
+        partition's one twist record: Upsilon_I^2, which
+        :func:`braid_monodromy` puts in every generator at I, and the block
+        twists' product, whose parts are the blocks' cached half twists.
         So their normal forms, and the identity Upsilon_I^2 = prod mu_B^2,
         are read once per partition, not per generator.
         If (c) fails, no twist is built.  ``n`` must be the strand count.
@@ -245,7 +238,7 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         return report
     report.add("positions form a consecutive partition", True)
     beta = g.conjugator
-    report.add("per-block product", braid_equal(product([~beta, _twist_product(I), beta]), g.braid))
+    report.add("per-block product", braid_equal(product([~beta, _twists(I)[1], beta]), g.braid))
     return report
 
 

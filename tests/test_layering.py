@@ -296,3 +296,24 @@ def test_one_reader_path_for_the_tower_relations():
     # take them from the one stream: no second copy holds them all at once
     assert _readers(("arrangements", "tower_relations")) == {
         "arrangements.write_presentation", "arrangements.verify_pbn_table"}
+
+
+def _cached_functions(module: str) -> set[str]:
+    """The module-level functions of ``module`` under ``cache`` or ``lru_cache``."""
+    found = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.add(node.name)
+    return found
+
+
+def test_one_twist_record_per_partition():
+    # wiring caches the half twists per (block, n) and one twist record per
+    # partition; the monodromy and the twist-shape check both read the record
+    assert _cached_functions("wiring") == {"permutation_braid_mu", "_twists"}
+    assert _readers(("wiring", "_twists")) == {
+        "wiring.braid_monodromy", "wiring.verify_twist_shape"}

@@ -24,7 +24,6 @@ from braidforge.braid import (
 from braidforge.wiring import (
     WiringDiagram,
     WiringError,
-    _full_twist_on,
     braid_monodromy,
     parse_wiring,
     partition,
@@ -102,7 +101,7 @@ def test_upsilon_factors_commute(I):
     # what verify_twist_shape and braid_monodromy take from the partition
     # alone: the blocks' full twists commute, their product is Upsilon^2,
     # and Upsilon^2 is pure
-    twists = [_full_twist_on(b, I.n) for b in I.blocks if len(b) > 1]
+    twists = [permutation_braid_mu(b, I.n) ** 2 for b in I.blocks if len(b) > 1]
     for k, a in enumerate(twists):
         for b in twists[k + 1:]:
             assert braid_equal(a * b, b * a)
@@ -227,7 +226,7 @@ def test_twist_shape_checks_every_block_pair(monkeypatch):
     overlapping = ((1, 2), (2, 3, 4), (5, 6), (7, 8), (9, 10))
     nested = ((1, 2, 3, 4), (1, 2), (5, 6), (7, 8), (9, 10))
     interleaved = ((1, 3), (2, 4), (5, 6), (7, 8), (9, 10))
-    outer, inner = _full_twist_on(nested[0], W.n), _full_twist_on(nested[1], W.n)
+    outer, inner = (permutation_braid_mu(b, W.n) ** 2 for b in nested[:2])
     assert braid_equal(outer * inner, inner * outer)
     for positions in (overlapping, nested, interleaved):
         calls.clear()
@@ -296,9 +295,8 @@ def test_twist_shape_never_normalises_a_conjugated_generator():
 def test_twist_shape_normalises_each_partition_once(monkeypatch):
     # generators 2 and 4 of b2 share the partition (12)(3)(45) under
     # different conjugators: once beta cancels, both middles are the same
-    # two cached braids, so the second check reads no normal form at all
-    for cached in (wiring._upsilon_squared, wiring._twist_product,
-                   wiring._full_twist_on, permutation_braid_mu):
+    # cached twist record, so the second check reads no normal form at all
+    for cached in (wiring._twists, permutation_braid_mu):
         cached.cache_clear()
     gens = braid_monodromy(b2_diagram())
     first, second = gens[1], gens[3]
@@ -314,6 +312,29 @@ def test_twist_shape_normalises_each_partition_once(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_one_twist_record_per_partition(seed):
+    # the monodromy and the check share one cached record per partition,
+    # and its twist product holds the blocks' cached half twists as parts,
+    # so no full twist mu_B^2 is kept beside them
+    for cached in (wiring._twists, permutation_braid_mu):
+        cached.cache_clear()
+    rng = random.Random(seed)
+    diagrams = [_random_diagram(rng, rng.randint(2, 7), rng.randint(1, 5)) for _ in range(4)]
+    diagrams += [wiring_from_real_lines(_random_lines(rng)) for _ in range(4)]
+    seen = set()
+    for W in diagrams:
+        seen.update(I for I, _ in W.events)
+        for g in braid_monodromy(W):
+            assert verify_twist_shape(g, W.n).passed
+    assert wiring._twists.cache_info().currsize == len(seen)
+    for I in seen:
+        _, twist_product = wiring._twists(I)
+        mus = [permutation_braid_mu(b, I.n) for b in I.blocks if len(b) > 1]
+        # == on (braid, sign) pairs is identity on the braid
+        assert twist_product.parts == tuple((m, 1) for mu in mus for m in (mu, mu))
+
+
 def _per_block_product(g):
     [check] = [c for c in verify_twist_shape(g, g.braid.strands).checks
                if c.name == "per-block product"]
@@ -327,13 +348,14 @@ def test_twist_shape_fails_a_wrong_middle():
         beta, I = g.conjugator, partition(5, sorted(g.positions))
         assert _per_block_product(g)
         assert not _per_block_product(
-            replace(g, braid=product([~beta, ~wiring._upsilon_squared(I), beta])))
+            replace(g, braid=product([~beta, ~wiring._twists(I)[0], beta])))
 
 
 def test_twist_shape_does_not_trust_the_shared_upsilon(monkeypatch):
     # if the shared Upsilon_I^2 were wrong, here Upsilon_I, the check's own
     # twist product would still tell
-    monkeypatch.setattr(wiring, "_upsilon_squared", upsilon)
+    twists = wiring._twists
+    monkeypatch.setattr(wiring, "_twists", lambda I: (upsilon(I), twists(I)[1]))
     for g in braid_monodromy(b2_diagram()):
         assert not _per_block_product(g)
 
