@@ -28,7 +28,7 @@ from .braid import (
     pure_gen,
     u_chain,
 )
-from .freegroup import Word, WordError, conjugate, invert, peel_conjugate, word
+from .freegroup import Word, WordError, _tokens, _word_text, conjugate, invert, peel_conjugate, word
 from .liealg import HolonomyPresentation, holonomy_relations_from_flats
 from .report import Report
 from .wiring import RealLine, braid_monodromy, real_line, wiring_from_real_lines
@@ -384,18 +384,6 @@ def tower_relations(tower: list[TowerLevel]):
             for lvl, braids in levels
             for x, braid in braids
             for y, img in zip(lvl.gens, artin(braid).images))
-
-
-def _tokens(names) -> dict[int, str]:
-    """Each letter's spelling in the generator names ``names``: ``t -> name``, ``-t -> name^-1``."""
-    tokens = {i: name for i, name in enumerate(names, start=1)}
-    tokens.update({-i: f"{name}^-1" for i, name in tokens.items()})
-    return tokens
-
-
-def _word_text(w: Word, tokens: dict[int, str]) -> str:
-    """The word spelled through a ``_tokens`` table; the empty word is ``1``."""
-    return " ".join(map(tokens.__getitem__, w.letters)) or "1"
 
 
 def write_presentation(tower: list[TowerLevel], out) -> None:

@@ -169,11 +169,18 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     return Endomorphism(a.rank, tuple(apply(b, img) for img in a.images))
 
 
+def _tokens(names) -> dict[int, str]:
+    """Each letter's spelling in the generator names ``names``: ``t -> name``, ``-t -> name^-1``."""
+    tokens = {i: name for i, name in enumerate(names, start=1)}
+    tokens.update({-i: f"{name}^-1" for i, name in tokens.items()})
+    return tokens
+
+
+def _word_text(w: Word, tokens: dict[int, str]) -> str:
+    """The word spelled through a ``_tokens`` table; the empty word is ``1``."""
+    return " ".join(map(tokens.__getitem__, w.letters)) or "1"
+
+
 def word_to_text(u: Word) -> str:
     """Render as juxtaposed tokens like ``t3 t3^-1``; the empty word is ``1``."""
-    if not u.letters:
-        return "1"
-    parts = []
-    for x in u.letters:
-        parts.append(f"t{x}" if x > 0 else f"t{-x}^-1")
-    return " ".join(parts)
+    return _word_text(u, _tokens(f"t{i}" for i in range(1, u.rank + 1)))

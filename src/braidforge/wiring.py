@@ -10,6 +10,9 @@ and the global braid monodromy generators are
     gamma(u_j) = beta_j^-1 Upsilon_{I(j)}^2 beta_j,
     beta_1 = 1,  beta_{j+1} = beta_{j,j+1} Upsilon_{I(j)} beta_j.
 
+Upsilon_I, Upsilon_I^2 and the product of I's block full twists depend
+only on the partition I, so one cached record per partition holds all three.
+
 Real line input is exact: rational data, scaled to integers for the events.
 """
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "singletons",
     "real_line",
     "permutation_braid_mu",
-    "upsilon",
     "braid_monodromy",
     "verify_twist_shape",
     "wiring_from_real_lines",
@@ -144,35 +146,35 @@ def permutation_braid_mu(block: tuple[int, ...], n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def upsilon(I: ConsecutivePartition) -> BraidWord:
-    """Product of the half twists of all blocks of the partition."""
-    return product([permutation_braid_mu(block, I.n) for block in I.blocks], I.n)
-
-
 @cache
-def _twists(I: ConsecutivePartition) -> tuple[BraidWord, BraidWord]:
-    """(Upsilon_I^2, the product of the full twists mu_B^2 on I's blocks), once per partition.
+def _twists(I: ConsecutivePartition) -> tuple[BraidWord, BraidWord, BraidWord]:
+    """(Upsilon_I, Upsilon_I^2, the product T_I of the full twists mu_B^2 on I's blocks).
 
-    Upsilon_I^2 is a given word, not ``ups * ups``, so it keeps no parts; the
-    twist product's parts are the blocks' cached half twists, each taken
-    twice, so its form multiplies forms already read and no mu_B^2 is built.
+    The one builder of a partition's braids, run once per partition.
+    Upsilon_I's parts are the blocks' cached half twists; Upsilon_I^2 is a
+    given word, not ``ups * ups``, so it keeps no parts; T_I's parts are the
+    nontrivial blocks' half twists, each taken twice, so its form
+    multiplies forms already read and no mu_B^2 is built.
     """
-    mus = [permutation_braid_mu(block, I.n) for block in I.blocks if len(block) > 1]
-    return BraidWord(I.n, upsilon(I).letters * 2), product([m for mu in mus for m in (mu, mu)], I.n)
+    mus = [permutation_braid_mu(block, I.n) for block in I.blocks]
+    ups = product(mus, I.n)
+    twist_product = product([m for mu in mus for m in (mu, mu)], I.n)
+    return ups, BraidWord(I.n, ups.letters * 2), twist_product
 
 
 def braid_monodromy(W: WiringDiagram) -> list[MonodromyGenerator]:
     """The pure braids gamma(u_j) = beta_j^-1 Upsilon_{I(j)}^2 beta_j, in order.
 
-    Upsilon_I^2 is the first half of the partition's one cached twist record,
-    so every generator at I shares one middle.  Pure without a check: each
-    half twist reverses its block, so Upsilon's permutation is an involution
-    and gamma(u_j) is a conjugate of Upsilon^2."""
+    Upsilon_I and Upsilon_I^2 come from the partition's one cached twist
+    record, so every generator at I shares one middle and every conjugator
+    after an event at I holds that one Upsilon_I.  Pure without a check:
+    each half twist reverses its block, so Upsilon's permutation is an
+    involution and gamma(u_j) is a conjugate of Upsilon^2."""
     gens: list[MonodromyGenerator] = []
     beta = empty_braid(W.n)
     for j, (I, between) in enumerate(W.events, start=1):
-        ups = upsilon(I)
-        gamma = product([~beta, _twists(I)[0], beta])
+        ups, ups2, _ = _twists(I)
+        gamma = product([~beta, ups2, beta])
         perm = permutation(beta)
         # (labels, positions) per block; disjoint blocks sort by least label
         carried = sorted((tuple(sorted(perm[p - 1] for p in b)), b) for b in I.blocks)
@@ -197,7 +199,7 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         by far commutation: the per-block product is the same in every order;
     (d) the braid equals beta_j^-1 (prod mu_B^2) beta_j, mu_B the half twist
         on block B's positions in I(j).  Both are conjugates by beta_j, so
-        :func:`braid_equal` compares only the middles, the two halves of the
+        :func:`braid_equal` compares only the middles, two fields of the
         partition's one twist record: Upsilon_I^2, which
         :func:`braid_monodromy` puts in every generator at I, and the block
         twists' product, whose parts are the blocks' cached half twists.
@@ -238,7 +240,7 @@ def verify_twist_shape(g: MonodromyGenerator, n: int) -> Report:
         return report
     report.add("positions form a consecutive partition", True)
     beta = g.conjugator
-    report.add("per-block product", braid_equal(product([~beta, _twists(I)[1], beta]), g.braid))
+    report.add("per-block product", braid_equal(product([~beta, _twists(I)[2], beta]), g.braid))
     return report
 
 
@@ -324,8 +326,7 @@ def parse_wiring(text: str) -> WiringDiagram:
     malformed file is reported at its first bad line.
     """
     n: int | None = None
-    events: list[tuple[ConsecutivePartition, BraidWord]] = []
-    current: ConsecutivePartition | None = None
+    events: list[tuple[ConsecutivePartition, BraidWord | None]] = []
     for lineno, line in content_lines(text):
         if n is None:
             head = line.split()
@@ -340,8 +341,6 @@ def parse_wiring(text: str) -> WiringDiagram:
             continue
         kind, body = line[:2], line[2:].strip()
         if kind == "I:":
-            if current is not None:
-                events.append((current, empty_braid(n)))
             blocks = []
             for chunk in body.split("|"):
                 entries = chunk.split()
@@ -352,26 +351,23 @@ def parse_wiring(text: str) -> WiringDiagram:
                 except ValueError as exc:
                     raise WiringError(f"line {lineno}: bad block entry") from exc
             try:
-                current = ConsecutivePartition(n, tuple(blocks))
+                events.append((ConsecutivePartition(n, tuple(blocks)), None))
             except WiringError as exc:
                 raise WiringError(f"line {lineno}: {exc}") from exc
         elif kind == "B:":
-            if current is None and events:
-                raise WiringError(f"line {lineno}: partition has a second 'B:' line")
-            if current is None:
+            if not events:
                 raise WiringError(f"line {lineno}: braid line before any partition")
+            if events[-1][1] is not None:
+                raise WiringError(f"line {lineno}: partition has a second 'B:' line")
             try:
                 b = braid(n, [int(tok) for tok in body.split()])
             except (BraidError, ValueError) as exc:
                 raise WiringError(f"line {lineno}: {exc}") from exc
-            events.append((current, b))
-            current = None
+            events[-1] = (events[-1][0], b)
         else:
             raise WiringError(f"line {lineno}: expected 'I:' or 'B:' line")
     if n is None:
         raise WiringError("missing 'n <int>' header")
-    if current is not None:
-        events.append((current, empty_braid(n)))
     if not events:
         raise WiringError("diagram has no events")
-    return WiringDiagram(n, tuple(events))
+    return WiringDiagram(n, tuple((I, empty_braid(n) if b is None else b) for I, b in events))

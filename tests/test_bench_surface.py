@@ -6,6 +6,7 @@ show up only as failed benchmark operations or as a guard that checks less.
 These tests make such a rename fail here first.
 """
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,19 @@ def test_verify_twist_shape_takes_n_positionally():
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     W = wiring.parse_wiring((DATA / "b2.wd").read_text(encoding="utf-8"))
     assert wiring.verify_twist_shape(wiring.braid_monodromy(W)[0], W.n).passed
+
+
+def test_real_lines_from_strings_give_tuple_blocks():
+    # the lines case passes each "slope intercept" row's two strings to
+    # real_line, and compares each generator's blocks, as a tuple of tuples,
+    # with the incidence of the lines at its event
+    rows = (DATA / "b2.lines").read_text(encoding="utf-8").splitlines()[1:]
+    lines = [wiring.real_line(*row.split()) for row in rows]
+    assert lines[0] == wiring.RealLine(Fraction(-2), Fraction(-120))
+    W = wiring.wiring_from_real_lines(lines)
+    assert [tuple(g.blocks) for g in wiring.braid_monodromy(W)] == [
+        ((1,), (2, 3, 4), (5,)),
+        ((1, 4), (2, 5), (3,)),
+        ((1, 3, 5), (2,), (4,)),
+        ((1, 2), (3,), (4, 5)),
+    ]

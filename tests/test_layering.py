@@ -313,7 +313,10 @@ def _cached_functions(module: str) -> set[str]:
 
 def test_one_twist_record_per_partition():
     # wiring caches the half twists per (block, n) and one twist record per
-    # partition; the monodromy and the twist-shape check both read the record
+    # partition, the one builder of Upsilon_I, Upsilon_I^2 and the block
+    # twists' product; the monodromy and the twist-shape check both read it
     assert _cached_functions("wiring") == {"permutation_braid_mu", "_twists"}
     assert _readers(("wiring", "_twists")) == {
         "wiring.braid_monodromy", "wiring.verify_twist_shape"}
+    assert "upsilon" not in _defined_names(_tree("wiring"))
+    assert _readers(("wiring", "permutation_braid_mu")) == {"wiring._twists"}

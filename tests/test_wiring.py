@@ -30,7 +30,6 @@ from braidforge.wiring import (
     permutation_braid_mu,
     real_line,
     singletons,
-    upsilon,
     verify_twist_shape,
     wiring_from_real_lines,
 )
@@ -88,9 +87,9 @@ def test_mu_and_upsilon():
     assert permutation_braid_mu((2, 3, 4), 5) is not permutation_braid_mu((2, 3, 4), 6)
     assert permutation_braid_mu((3,), 5).letters == ()
     assert permutation_braid_mu((1, 2), 5).letters == (1,)
-    assert upsilon(B2_EVENTS[0]).letters == (2, 3, 2)
-    assert upsilon(B2_EVENTS[1]).letters == (1, 4)
-    assert upsilon(singletons(4)).letters == ()
+    assert wiring._twists(B2_EVENTS[0])[0].letters == (2, 3, 2)
+    assert wiring._twists(B2_EVENTS[1])[0].letters == (1, 4)
+    assert wiring._twists(singletons(4))[0].letters == ()
     with pytest.raises(WiringError):
         permutation_braid_mu((1, 3), 5)
 
@@ -105,8 +104,9 @@ def test_upsilon_factors_commute(I):
     for k, a in enumerate(twists):
         for b in twists[k + 1:]:
             assert braid_equal(a * b, b * a)
-    assert braid_equal(product(twists, I.n), upsilon(I) ** 2)
-    assert is_pure(upsilon(I) ** 2)
+    ups = wiring._twists(I)[0]
+    assert braid_equal(product(twists, I.n), ups ** 2)
+    assert is_pure(ups ** 2)
 
 
 def test_b2_conjugators_letter_for_letter():
@@ -329,10 +329,32 @@ def test_one_twist_record_per_partition(seed):
             assert verify_twist_shape(g, W.n).passed
     assert wiring._twists.cache_info().currsize == len(seen)
     for I in seen:
-        _, twist_product = wiring._twists(I)
+        _, _, twist_product = wiring._twists(I)
         mus = [permutation_braid_mu(b, I.n) for b in I.blocks if len(b) > 1]
         # == on (braid, sign) pairs is identity on the braid
         assert twist_product.parts == tuple((m, 1) for mu in mus for m in (mu, mu))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_conjugators_share_the_record_upsilon(seed):
+    # beta_{j+1} = beta_{j,j+1} Upsilon_I beta_j takes Upsilon_I from the
+    # partition's one twist record, so no event builds its own; seed 0 is b2
+    rng = random.Random(seed)
+    diagrams = [b2_diagram()] if not seed else (
+        [_random_diagram(rng, rng.randint(2, 7), rng.randint(1, 5)) for _ in range(4)]
+        + [wiring_from_real_lines(_random_lines(rng)) for _ in range(4)])
+    shared = 0
+    for W in diagrams:
+        gens = braid_monodromy(W)
+        for j, ((I, between), after) in enumerate(zip(W.events, gens[1:])):
+            ups, beta = wiring._twists(I)[0], after.conjugator
+            if not ups.length:
+                continue
+            assert beta is ups or any(p is ups for p, _ in beta.parts)
+            if j == 0 and not between.length:
+                assert beta is ups
+            shared += 1
+    assert shared
 
 
 def _per_block_product(g):
@@ -348,14 +370,14 @@ def test_twist_shape_fails_a_wrong_middle():
         beta, I = g.conjugator, partition(5, sorted(g.positions))
         assert _per_block_product(g)
         assert not _per_block_product(
-            replace(g, braid=product([~beta, ~wiring._twists(I)[0], beta])))
+            replace(g, braid=product([~beta, ~wiring._twists(I)[1], beta])))
 
 
 def test_twist_shape_does_not_trust_the_shared_upsilon(monkeypatch):
     # if the shared Upsilon_I^2 were wrong, here Upsilon_I, the check's own
     # twist product would still tell
     twists = wiring._twists
-    monkeypatch.setattr(wiring, "_twists", lambda I: (upsilon(I), twists(I)[1]))
+    monkeypatch.setattr(wiring, "_twists", lambda I: (twists(I)[0], twists(I)[0], twists(I)[2]))
     for g in braid_monodromy(b2_diagram()):
         assert not _per_block_product(g)
 
