@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from braidforge import arrangements
+from braidforge import arrangements, garside
 from braidforge.cli import run
 from braidforge.liealg import witt_rank
 
@@ -103,6 +103,16 @@ def test_equality_builds_no_artin_images(monkeypatch):
     assert code == 0, out
     with pytest.raises(AssertionError):
         arrangements.verify_pbn_table(2)
+
+
+def test_suites_reach_the_left_weighting_memo():
+    # a rebinding of garside._left_weight that bypasses the memo reads no hits
+    garside._left_weight.cache_clear()
+    code, out = run_cli("monomial", "--r", "3", "--n", "4", "--verify", "presentation")
+    assert code == 0, out
+    assert sum(line.startswith("ok\t") for line in out.splitlines()) == 164
+    info = garside._left_weight.cache_info()
+    assert info.hits > 0 and info.currsize <= info.maxsize
 
 
 def test_presentation_past_the_verified_range_reports_every_check():

@@ -188,8 +188,26 @@ def simple_pairs(draw):
 @settings(max_examples=500, deadline=None)
 @given(simple_pairs())
 def test_left_weight_matches_the_definition(pair):
+    # the kernel under the memo, and the memoised entry point the sweep calls
     a, b = pair
-    assert garside._left_weight(a, b) == _left_weight_by_definition(a, b)
+    expected = _left_weight_by_definition(a, b)
+    assert garside._left_weight.__wrapped__(a, b) == expected
+    assert garside._left_weight(a, b) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_forms_do_not_depend_on_the_memo(pair):
+    # a warm memo returns what the kernel computed for a cold one
+    n, a, b = pair
+
+    def forms():
+        x, y = nf(n, a), nf(n, b)
+        return x, y, mul(x, y), mul(y, x, y)
+
+    garside._left_weight.cache_clear()
+    cold = forms()
+    assert forms() == cold
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from braidforge import garside
+
 ORDER = [
     "report",
     "freegroup",
@@ -320,3 +322,11 @@ def test_one_twist_record_per_partition():
         "wiring.braid_monodromy", "wiring.verify_twist_shape"}
     assert "upsilon" not in _defined_names(_tree("wiring"))
     assert _readers(("wiring", "permutation_braid_mu")) == {"wiring._twists"}
+
+
+def test_the_left_weighting_memo_is_bounded():
+    # garside memoises the table per strand count and the left-weighting
+    # step per factor pair; the pairs are many, so that memo keeps a bound
+    assert _cached_functions("garside") == {"_tables", "_left_weight"}
+    maxsize = garside._left_weight.cache_info().maxsize
+    assert type(maxsize) is int and maxsize > 0

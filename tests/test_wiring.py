@@ -296,7 +296,7 @@ def test_twist_shape_normalises_each_partition_once(monkeypatch):
     # generators 2 and 4 of b2 share the partition (12)(3)(45) under
     # different conjugators: once beta cancels, both middles are the same
     # cached twist record, so the second check reads no normal form at all
-    for cached in (wiring._twists, permutation_braid_mu):
+    for cached in (wiring._twists, permutation_braid_mu, garside._left_weight):
         cached.cache_clear()
     gens = braid_monodromy(b2_diagram())
     first, second = gens[1], gens[3]
